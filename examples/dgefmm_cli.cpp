@@ -192,7 +192,8 @@ int main(int argc, char** argv) {
             << best_dgemm / best_dgefmm << "x\n";
   std::cout << "recursion  : " << stats.strassen_levels << " Strassen nodes, "
             << stats.base_gemms << " base GEMMs, depth " << stats.max_depth
-            << ", " << stats.peel_fixups << " peel fix-ups\n";
+            << " on a pool of " << stats.pool_workers << ", "
+            << stats.peel_fixups << " peel fix-ups\n";
   if (stats.fused_depth > 0) {
     std::cout << "fused      : " << stats.fused_products
               << " fused products at depth " << stats.fused_depth << "\n";

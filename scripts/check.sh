@@ -9,8 +9,8 @@
 # forced onto the scalar micro-kernel and onto the best SIMD one
 # (STRASSEN_KERNEL, resolved at process start), under release and asan --
 # the only way the env-resolved dispatch path itself gets exercised.
-# The parallel and serving matrices sweep the scheduler and admission env
-# knobs the same way.
+# The gemm-thread, parallel and serving matrices sweep the intra-op width,
+# scheduler and admission env knobs the same way.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -98,6 +98,27 @@ for preset in release tsan; do
       STRASSEN_PAR_DEPTH="${depth}" STRASSEN_PAR_LANES="${lanes}" \
         ctest --preset "${preset}" -j "${jobs}" -L "${parallel_suites}" "$@"
     done
+  done
+done
+
+# Gemm-thread matrix: the suites that fan the packed loop and the quadrant
+# adds out over the pool (2-D row/column partition, prepacked streams,
+# fault sweeps, the float twins) re-run with the per-thread width pinned by
+# environment -- serial, an odd width whose partitions all end in a
+# remainder task, and the default (pool size) -- under release and (for
+# the data races a wrong partition would introduce) tsan. Results must be
+# bitwise identical in every cell (DESIGN.md section 7.6).
+gemm_thread_suites='test_kernels|test_parallel|test_faults|test_sgefmm|prepack'
+for preset in release tsan; do
+  for threads in 1 3 default; do
+    echo "== gemm-thread matrix: ${preset} / threads=${threads} =="
+    if [ "${threads}" = default ]; then
+      env -u STRASSEN_GEMM_THREADS \
+        ctest --preset "${preset}" -j "${jobs}" -L "${gemm_thread_suites}" "$@"
+    else
+      STRASSEN_GEMM_THREADS="${threads}" \
+        ctest --preset "${preset}" -j "${jobs}" -L "${gemm_thread_suites}" "$@"
+    fi
   done
 done
 

@@ -113,12 +113,21 @@ inline WriteDestF write_dest(MutViewF v, float alpha, float beta) {
 /// The destinations must not overlap one another or the sources.
 ///
 /// When the calling thread's gemm_threads() setting and the problem shape
-/// allow (see packed_gemm_threads), the ic macro loop of every (jc, pc)
-/// iteration is fanned out over the global thread pool: the caller packs B
-/// once, workers pack disjoint A row blocks into their own thread-local
-/// scratch and write disjoint C row partitions. The pc loop stays
-/// sequential (one barrier per k-panel), so the arithmetic per C element
-/// is identical for every thread count -- results are bitwise reproducible.
+/// allow (see packed_gemm_threads), every (jc, pc) iteration is fanned out
+/// over the global thread pool along one of two BLIS loops:
+///
+///  * m > mc (several A blocks): a row split into even, MR-aligned row
+///    ranges. B is packed once into the caller's scratch (by a first batch
+///    of panel ranges when it is large); each task packs its A blocks into
+///    its own thread-local scratch and writes its C rows.
+///  * m <= mc (one A block): a column (jr) split over the NR panels. The
+///    caller packs the A block once into a shared buffer; each task packs
+///    its own B panels and writes its C columns.
+///
+/// Every C micro-tile is written by exactly one task, and the pc loop stays
+/// sequential (a k-panel's batches finish before the next panel starts),
+/// so the arithmetic per C element is identical for every thread count --
+/// results are bitwise reproducible.
 template <class T>
 void packed_gemm_multi(const GemmBlocking& bk, index_t m, index_t n,
                        index_t k, const PackCombT<T>& a,
@@ -179,12 +188,25 @@ class ScopedGemmThreads {
   int prev_;
 };
 
-/// Number of tasks packed_gemm_multi would fan out for this blocking and
-/// shape under the calling thread's current setting: 1 when the setting
-/// forces serial or m spans fewer than two mc blocks, else the setting
-/// (pool size when 0) clamped to the mc-block count and kMaxGemmTasks.
-/// Deterministic in (setting, pool size, bk, shape); the GEFMM pre-flight
-/// uses it to decide whether pool workers need warming.
+/// Fan-out width for a loop of `units` independent slices under the
+/// calling thread's setting: 1 when the setting forces serial or there is
+/// at most one slice, else the setting (pool size when 0, bounded by
+/// kMaxGemmTasks) clamped to `units`. Constructs the global pool when it
+/// resolves the auto setting for two or more slices, so a caller inside a
+/// no-fail region must have made the same call in its pre-flight. The
+/// packed loop and the Strassen quadrant adds share this resolution.
+int intra_op_tasks(count_t units);
+
+/// Number of tasks packed_gemm_multi<T> would fan out for this blocking and
+/// shape under the calling thread's current setting: intra_op_tasks over
+/// the split units -- MR row panels when m > mc, NR column panels of one
+/// iteration otherwise -- further capped so that each task gets at least
+/// 2^18 multiply-adds of one (jc, pc) iteration. Deterministic in
+/// (setting, pool size, kernel, bk, shape). When the top-level shape of a
+/// GEFMM call resolves to 1, so does every (smaller) sub-product, so the
+/// GEFMM pre-flight uses the top-level value to decide whether pool
+/// workers need warming.
+template <class T = double>
 int packed_gemm_threads(const GemmBlocking& bk, index_t m, index_t n,
                         index_t k);
 
@@ -203,10 +225,13 @@ void ensure_pack_capacity(const GemmBlocking& bk);
 /// worker (each worker grows its own thread-local scratch via a pinned
 /// pool task). Required before any compute that may fan a packed GEMM out
 /// over the pool -- lazy first-touch allocation on a cold worker would
-/// otherwise fire inside the ScopedSuspend no-fail region. Called from a
-/// pool worker it degrades to the calling-thread warm (the outer parallel
-/// driver has already warmed the pool). May throw std::bad_alloc or
-/// TaskError (fault injection).
+/// otherwise fire inside the ScopedSuspend no-fail region. The worker
+/// pass runs only until it has succeeded once for a blocking at least as
+/// large (until a worker releases its scratch), so a warm pool costs no
+/// synchronization with the workers. Called from a pool worker it degrades
+/// to the calling-thread warm (the outer parallel driver has already
+/// warmed the pool). May throw std::bad_alloc or TaskError (fault
+/// injection).
 template <class T = double>
 void ensure_pack_capacity_all_workers(const GemmBlocking& bk);
 
@@ -221,8 +246,8 @@ template <class T = double>
 void release_pack_capacity();
 
 /// Elements currently retained by the calling thread's packing scratch for
-/// element type T (A-pack + B-pack). Zero after release_pack_capacity;
-/// the release-regression tests assert exactly that.
+/// element type T (A-pack + shared A block + B-pack). Zero after
+/// release_pack_capacity; the release-regression tests assert exactly that.
 template <class T = double>
 std::size_t pack_capacity_elements();
 

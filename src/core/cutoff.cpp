@@ -1,6 +1,10 @@
 #include "core/cutoff.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <sstream>
+
+#include "support/thread_pool.hpp"
 
 namespace strassen::core {
 
@@ -21,9 +25,26 @@ bool parameterized_recurse(const CutoffCriterion& c, index_t m, index_t k,
   return lhs > rhs;
 }
 
+// Pinned pool_workers() value; 0 = none (use the pool size). Set by tests
+// before the calls that read it.
+std::atomic<int> g_pinned_workers{0};
+
 }  // namespace
 
 bool CutoffCriterion::stop(index_t m, index_t k, index_t n, int d) const {
+  if (stop_shape(m, k, n, d)) return true;
+  if (pool_workers_ <= 1) return false;
+  const index_t p = pool_workers_;
+  if (m >= n) {
+    m = (m + p - 1) / p;
+  } else {
+    n = (n + p - 1) / p;
+  }
+  return stop_shape(m, k, n, d);
+}
+
+bool CutoffCriterion::stop_shape(index_t m, index_t k, index_t n,
+                                 int d) const {
   switch (kind) {
     case CutoffKind::op_count:
       // Eq. (7).
@@ -152,5 +173,32 @@ std::string CutoffCriterion::describe() const {
   }
   return ss.str();
 }
+
+namespace detail {
+
+CutoffCriterion on_pool(const CutoffCriterion& c, int workers) {
+  CutoffCriterion r = c;
+  r.pool_workers_ = std::max(workers, 1);
+  return r;
+}
+
+int pool_workers() {
+  const int pinned =
+      g_pinned_workers.load(std::memory_order_relaxed);  // relaxed: config-slot
+  if (pinned > 0) return pinned;
+  return static_cast<int>(parallel::global_pool_size());
+}
+
+ScopedPoolWorkers::ScopedPoolWorkers(int workers)
+    : prev_(g_pinned_workers.exchange(
+          std::max(workers, 1),
+          std::memory_order_relaxed)) {}  // relaxed: config-slot
+
+ScopedPoolWorkers::~ScopedPoolWorkers() {
+  g_pinned_workers.store(prev_,
+                         std::memory_order_relaxed);  // relaxed: config-slot
+}
+
+}  // namespace detail
 
 }  // namespace strassen::core

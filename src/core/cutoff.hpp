@@ -22,6 +22,15 @@
 
 namespace strassen::core {
 
+struct CutoffCriterion;
+
+namespace detail {
+/// The criterion as the serial drivers apply it on a pool of `workers`
+/// (see CutoffCriterion::stop). Internal: the drivers and the workspace
+/// predictors call it with pool_workers(); it is not a tuning knob.
+CutoffCriterion on_pool(const CutoffCriterion& c, int workers);
+}  // namespace detail
+
 /// Which stopping rule is applied at each recursion level.
 enum class CutoffKind {
   op_count,       ///< eq. (7), the pure model criterion
@@ -43,7 +52,13 @@ struct CutoffCriterion {
   int depth = 1;         ///< for fixed_depth
 
   /// True when recursion should STOP and DGEMM be used for (m, k, n) at
-  /// recursion depth `d` (top level is d == 0).
+  /// recursion depth `d` (top level is d == 0). A criterion the serial
+  /// dgefmm/sgefmm drivers resolved for a pool of P > 1 workers
+  /// (detail::on_pool) also stops where the rule says stop for one
+  /// worker's share of the node -- (m, k, n) with the larger output
+  /// dimension divided by P, rounded up: a level is taken only where each
+  /// worker still gets a block the rule would recurse on. With P = 1 this
+  /// is exactly the rule above.
   bool stop(index_t m, index_t k, index_t n, int d) const;
 
   /// Factories ----------------------------------------------------------
@@ -65,6 +80,34 @@ struct CutoffCriterion {
   static CutoffCriterion paper_default(blas::Machine machine);
 
   std::string describe() const;
+
+ private:
+  friend CutoffCriterion detail::on_pool(const CutoffCriterion&, int);
+  bool stop_shape(index_t m, index_t k, index_t n, int d) const;
+  int pool_workers_ = 1;
 };
+
+namespace detail {
+
+/// P for the pool-aware recursion depth: parallel::global_pool_size(),
+/// unless a ScopedPoolWorkers pin is live. Never constructs the pool.
+int pool_workers();
+
+/// Test seam, not a user knob: pins pool_workers() process-wide for its
+/// lifetime so tests can assert the paper's serial (P = 1) recursion
+/// counts on any host. Not reentrant across threads; tests hold one at a
+/// time.
+class ScopedPoolWorkers {
+ public:
+  explicit ScopedPoolWorkers(int workers);
+  ScopedPoolWorkers(const ScopedPoolWorkers&) = delete;
+  ScopedPoolWorkers& operator=(const ScopedPoolWorkers&) = delete;
+  ~ScopedPoolWorkers();
+
+ private:
+  int prev_;
+};
+
+}  // namespace detail
 
 }  // namespace strassen::core

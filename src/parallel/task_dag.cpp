@@ -128,7 +128,8 @@ void product_body(void* arg, std::size_t lane) {
 
 // One combine node: dst <- beta*dst + sum_i g_i * M_{p_i}, applied in the
 // verified DAG's fixed ascending product order -- the source of bitwise
-// determinism across lane counts and steal orders.
+// determinism across lane counts and steal orders. Large combines split by
+// column over the pool within the same moldable width as the products.
 template <class T>
 struct CombineTask {
   Shared<T>* sh = nullptr;
@@ -142,6 +143,7 @@ void combine_body(void* arg, std::size_t /*lane*/) {
   auto* t = static_cast<CombineTask<T>*>(arg);
   Shared<T>& sh = *t->sh;
   enter_node(sh, /*writes_c=*/true);
+  blas::ScopedGemmThreads fan(sh.leaf_gemm_threads);
   core::axpby(static_cast<T>(t->terms[0].g),
               sh.products[t->terms[0].product], sh.beta, t->dst);
   for (int i = 1; i < t->nterms; ++i) {
@@ -406,6 +408,7 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
   }
   DagRun run(nodes.data(), nodes.size(),
              static_cast<std::size_t>(plan.lanes));
+  ThreadPool& pool = global_pool();  // built by plan_dag
 
   // --- Execution phase: every acquisition is behind us (the driver's
   // reservation and warmup, this function's carving, the DagRun above), so
@@ -418,7 +421,7 @@ void run_task_dag(Trans transa, Trans transb, index_t m, index_t n,
   // internal sizing bug (as in the serial no-fail region), never a
   // resource failure, and the driver's policy handling still applies.
   faultinject::ScopedSuspend nofail;
-  global_pool().run_dag(run);
+  pool.run_dag(run);
 
   int fixups = 0;
   if (((m | k | n) & 1) != 0) {

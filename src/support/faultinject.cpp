@@ -54,6 +54,18 @@ void disarm() {
   g_countdown.store(0, std::memory_order_relaxed);   // relaxed: injector
 }
 
+// A census is an armed countdown too large to reach zero.
+constexpr long kCensusCountdown = 1L << 60;
+
+void begin_census() { arm(kCensusCountdown, Site::any); }
+
+long end_census() {
+  const long left =
+      g_countdown.load(std::memory_order_relaxed);  // relaxed: injector
+  disarm();
+  return kCensusCountdown - left;
+}
+
 bool armed() {
   return g_active.load(std::memory_order_relaxed) &&      // relaxed: injector
          g_countdown.load(std::memory_order_relaxed) > 0;  // relaxed: injector

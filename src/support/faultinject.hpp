@@ -43,6 +43,16 @@ void arm(long countdown, Site site = Site::any);
 /// Disarms without firing.
 void disarm();
 
+/// Starts a disarmed census: until end_census(), every hook check that an
+/// armed countdown would have counted (any site, calling threads not
+/// suspended) is counted instead, and none fires. The fault sweeps use it
+/// to learn how many fallible acquisitions one call makes, then fail each
+/// of them in turn.
+void begin_census();
+
+/// Ends the census and returns the number of hook checks it counted.
+long end_census();
+
 /// True while armed and not yet fired.
 bool armed();
 

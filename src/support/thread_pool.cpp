@@ -409,8 +409,16 @@ void ThreadPool::run_dag(DagRun& run) {
   if (batch.first_error) std::rethrow_exception(batch.first_error);
 }
 
+bool on_pool_worker() { return t_worker_pool != nullptr; }
+
+std::size_t global_pool_size() {
+  static const std::size_t size =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return size;
+}
+
 ThreadPool& global_pool() {
-  static ThreadPool pool;
+  static ThreadPool pool(global_pool_size());
   return pool;
 }
 

@@ -21,6 +21,7 @@
 // (not parallel/) because the BLAS layer depends on it.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -226,7 +227,52 @@ class DagRun {
   bool used_ = false;
 };
 
-/// Process-wide shared pool (lazily constructed).
+/// Most ranges one run_ranges_nofail call splits into.
+inline constexpr int kMaxRanges = 64;
+
+/// Splits [0, units) into `parts` (<= kMaxRanges) contiguous ranges of
+/// whole `grain`s whose sizes differ by at most one grain and runs
+/// body(lo, hi) for every non-empty range as one run_batch_nofail batch, so
+/// the same run_batch_nofail contract applies to body. The split depends on
+/// (units, grain, parts) alone, never on pool scheduling. The task records
+/// live on this call's stack: no allocation.
+template <class F>
+void run_ranges_nofail(ThreadPool& pool, std::int64_t units,
+                       std::int64_t grain, int parts, F& body) {
+  struct Range {
+    F* body;
+    std::int64_t lo, hi;
+  };
+  Range ranges[kMaxRanges];
+  ThreadPool::RawTask raw[kMaxRanges];
+  const std::int64_t grains = (units + grain - 1) / grain;
+  std::size_t nt = 0;
+  for (int t = 0; t < parts && t < kMaxRanges; ++t) {
+    const std::int64_t lo = std::min(units, grains * t / parts * grain);
+    const std::int64_t hi = std::min(units, grains * (t + 1) / parts * grain);
+    if (lo == hi) continue;
+    ranges[nt] = Range{&body, lo, hi};
+    raw[nt] = ThreadPool::RawTask{
+        [](void* arg) {
+          const Range* r = static_cast<const Range*>(arg);
+          (*r->body)(r->lo, r->hi);
+        },
+        &ranges[nt]};
+    ++nt;
+  }
+  pool.run_batch_nofail(raw, nt);
+}
+
+/// True when the calling thread is a worker of any ThreadPool.
+bool on_pool_worker();
+
+/// Worker count of global_pool(), known without constructing it (thread
+/// creation is fallible, so pure queries such as the workspace predictors
+/// must not trigger it): max(1, std::thread::hardware_concurrency()).
+std::size_t global_pool_size();
+
+/// Process-wide shared pool (lazily constructed, global_pool_size()
+/// workers).
 ThreadPool& global_pool();
 
 }  // namespace strassen::parallel

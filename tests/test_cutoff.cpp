@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cutoff.hpp"
+#include "support/thread_pool.hpp"
 #include "model/cutoff_theory.hpp"
 
 namespace strassen {
@@ -129,6 +130,87 @@ TEST(Cutoff, DescribeMentionsKind) {
             std::string::npos);
   EXPECT_NE(CutoffCriterion::op_count().describe().find("op-count"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Pool-aware depth (CutoffCriterion::stop on a criterion resolved for a pool
+// of P workers): a level is taken only where the rule still recurses on one
+// worker's share, the larger output dimension divided by P.
+
+// Levels the recursion takes on an even-halving chain from (m, k, n).
+int chain_depth(const CutoffCriterion& c, index_t m, index_t k, index_t n) {
+  int d = 0;
+  while (m >= 2 && k >= 2 && n >= 2 && !c.stop(m, k, n, d)) {
+    m = (m & ~index_t{1}) / 2;
+    k = (k & ~index_t{1}) / 2;
+    n = (n & ~index_t{1}) / 2;
+    ++d;
+  }
+  return d;
+}
+
+TEST(PoolDepth, OneWorkerIsThePaperRule) {
+  const CutoffCriterion kinds[] = {
+      CutoffCriterion::paper_default(blas::Machine::rs6000),
+      CutoffCriterion::square_simple(64), CutoffCriterion::higham_scaled(64),
+      CutoffCriterion::parameterized(75, 125, 95), CutoffCriterion::op_count(),
+      CutoffCriterion::fixed_depth(3)};
+  for (const CutoffCriterion& c : kinds) {
+    const CutoffCriterion one = core::detail::on_pool(c, 1);
+    for (index_t m = 8; m <= 4096; m = m * 3 / 2 + 1) {
+      for (index_t n = 8; n <= 4096; n = n * 5 / 3 + 7) {
+        for (const index_t k : {index_t{16}, index_t{150}, index_t{999}}) {
+          for (int d = 0; d < 4; ++d) {
+            ASSERT_EQ(one.stop(m, k, n, d), c.stop(m, k, n, d))
+                << c.describe() << " " << m << "x" << k << "x" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PoolDepth, SharesTheLargerOutputDimension) {
+  const CutoffCriterion paper =
+      CutoffCriterion::paper_default(blas::Machine::rs6000);
+  const CutoffCriterion four = core::detail::on_pool(paper, 4);
+  // sq2048 recurses four levels on one worker, two on four: at 512^3 a
+  // quarter of the rows (128) is below tau and eq. (13) says stop.
+  EXPECT_EQ(chain_depth(paper, 2048, 2048, 2048), 4);
+  EXPECT_EQ(chain_depth(four, 2048, 2048, 2048), 2);
+  EXPECT_FALSE(four.stop(1024, 1024, 1024, 1));
+  EXPECT_TRUE(four.stop(512, 512, 512, 2));
+  // The share divides the larger output dimension: a quarter of 780 is
+  // 195 <= tau, and eq. (13) stops on it whichever of m and n it is.
+  EXPECT_FALSE(paper.stop(220, 300, 780, 0));
+  EXPECT_TRUE(four.stop(220, 300, 780, 0));
+  EXPECT_TRUE(four.stop(780, 300, 220, 0));
+  EXPECT_FALSE(four.stop(780, 300, 800, 0));  // n = 800 is shared instead
+  // Rounding up: 1001 rows share as 251.
+  EXPECT_EQ(four.stop(1001, 500, 700, 0), paper.stop(251, 500, 700, 0));
+  // Never deeper than the paper rule, and fixed depths stay fixed.
+  for (index_t s = 64; s <= 8192; s *= 2) {
+    EXPECT_LE(chain_depth(four, s, s, s), chain_depth(paper, s, s, s));
+  }
+  const CutoffCriterion fixed =
+      core::detail::on_pool(CutoffCriterion::fixed_depth(2), 16);
+  EXPECT_EQ(chain_depth(fixed, 4096, 4096, 4096), 2);
+}
+
+TEST(PoolDepth, WorkersComeFromThePoolSizeUnlessPinned) {
+  EXPECT_EQ(core::detail::pool_workers(),
+            static_cast<int>(parallel::global_pool_size()));
+  {
+    core::detail::ScopedPoolWorkers pin(3);
+    EXPECT_EQ(core::detail::pool_workers(), 3);
+    {
+      core::detail::ScopedPoolWorkers inner(1);
+      EXPECT_EQ(core::detail::pool_workers(), 1);
+    }
+    EXPECT_EQ(core::detail::pool_workers(), 3);
+  }
+  EXPECT_EQ(core::detail::pool_workers(),
+            static_cast<int>(parallel::global_pool_size()));
 }
 
 }  // namespace

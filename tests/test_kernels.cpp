@@ -34,6 +34,7 @@
 #include "blas/gemm.hpp"
 #include "blas/kernels.hpp"
 #include "blas/machine.hpp"
+#include "blas/pack_operand.hpp"
 #include "blas/packed_loop.hpp"
 #include "blas/prefetch.hpp"
 #include "core/add_kernels.hpp"
@@ -554,6 +555,139 @@ TEST(KernelMatrix, ParallelPackedGemmBitwiseEqualsSerialUnderEveryKernel) {
   }
 }
 
+// ------------------------------------------- 2-D partition bitwise parity
+
+// The packed loop splits each (jc, pc) iteration by MR-aligned row ranges
+// when m spans several mc blocks and by NR column panels when it does not.
+// Either way every C micro-tile is written by one task with the serial
+// nest's arithmetic, so every gemm-thread setting must reproduce the
+// serial bytes: plain and fused (two-term operands, two destinations)
+// calls, under every kernel, over column-split shapes (m <= mc, with and
+// without m % MR == 0, over several column strips), row-split shapes
+// (mc < m < 2 mc, m % MR != 0, several mc blocks), and several k-panels.
+TEST(KernelMatrix, PartitionBitwiseEqualsSerialAcrossThreadSettings) {
+  const blas::GemmBlocking bk{128, 128, 256};
+  struct Shape {
+    index_t m, n, k;
+    const char* what;
+  };
+  const Shape shapes[] = {
+      {120, 250, 300, "column split"},
+      {117, 600, 260, "column split, m % MR != 0, three column strips"},
+      {200, 256, 300, "row split, mc < m < 2 mc"},
+      {203, 250, 256, "row split, m % MR != 0"},
+      {520, 96, 140, "row split over five mc blocks"},
+  };
+  for (const KernelArch arch : supported_arches()) {
+    blas::ScopedKernel pin(arch);
+    SCOPED_TRACE(blas::active_kernel().name);
+    for (const Shape& sh : shapes) {
+      SCOPED_TRACE(sh.what);
+      const index_t m = sh.m, n = sh.n, k = sh.k;
+      {
+        blas::ScopedGemmThreads four(4);
+        EXPECT_GT(blas::packed_gemm_threads(bk, m, n, k), 1)
+            << "the shape must actually fan out";
+      }
+      Rng rng(static_cast<std::uint64_t>(m * 7 + n * 3 + k));
+      Matrix a = random_matrix(m, k, rng);
+      Matrix a2t = random_matrix(k, m, rng);  // transposed second term
+      Matrix b = random_matrix(k, n, rng);
+      Matrix b2 = random_matrix(k, n, rng);
+      Matrix c0 = random_matrix(m, n, rng);
+      blas::PackComb pa;
+      pa.add(a.view(), 1.0);
+      pa.add(make_op_view(Trans::transpose, a2t.data(), k, m, a2t.ld()),
+             -1.0);
+      blas::PackComb pb;
+      pb.add(b.view(), 0.5);
+      pb.add(b2.view(), 2.0);
+
+      // plain: C = 1.25 A B + 0.5 C; fused: D0 = A' B' (beta 0 over NaN),
+      // D1 = -2 A' B' + 0.5 D1.
+      const auto run = [&](int threads, Matrix& plain, Matrix& d0,
+                           Matrix& d1) {
+        blas::ScopedGemmThreads fan(threads);
+        copy(c0.view(), plain.view());
+        const blas::WriteDest dp = blas::write_dest(plain.view(), 1.25, 0.5);
+        blas::packed_gemm_multi(bk, m, n, k, blas::pack_comb(a.view()),
+                                blas::pack_comb(b.view()), &dp, 1);
+        for (index_t j = 0; j < n; ++j) {
+          for (index_t i = 0; i < m; ++i) d0(i, j) = std::nan("");
+        }
+        copy(c0.view(), d1.view());
+        const blas::WriteDest dst[2] = {
+            blas::write_dest(d0.view(), 1.0, 0.0),
+            blas::write_dest(d1.view(), -2.0, 0.5),
+        };
+        blas::packed_gemm_multi(bk, m, n, k, pa, pb, dst, 2);
+      };
+      Matrix plain1(m, n), d01(m, n), d11(m, n);
+      run(1, plain1, d01, d11);
+      const std::size_t bytes = sizeof(double) *
+                                static_cast<std::size_t>(m) *
+                                static_cast<std::size_t>(n);
+      for (const int threads : {2, 3, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        Matrix plain(m, n), d0(m, n), d1(m, n);
+        run(threads, plain, d0, d1);
+        EXPECT_EQ(std::memcmp(plain.data(), plain1.data(), bytes), 0);
+        EXPECT_EQ(std::memcmp(d0.data(), d01.data(), bytes), 0);
+        EXPECT_EQ(std::memcmp(d1.data(), d11.data(), bytes), 0);
+      }
+    }
+  }
+}
+
+// Prepacked A/B images stream through the same partition: for every
+// gemm-thread setting the streamed call reproduces the serial fresh-pack
+// bytes, with the host's own blocking (the one the images are packed for).
+TEST(KernelMatrix, PrepackedStreamsBitwiseEqualSerialAcrossThreadSettings) {
+  const blas::GemmBlocking bk =
+      blas::blocking_for_t<double>(blas::active_machine());
+  struct Shape {
+    index_t m, n, k;
+  };
+  const Shape shapes[] = {{64, 520, 400},
+                          {bk.mc + 64, 300, 500},
+                          {bk.mc / 2 + 3, 130, 390}};
+  for (const Shape& sh : shapes) {
+    const index_t m = sh.m, n = sh.n, k = sh.k;
+    SCOPED_TRACE(::testing::Message() << m << "x" << n << "x" << k);
+    Rng rng(static_cast<std::uint64_t>(m + n + k));
+    Matrix a = random_matrix(m, k, rng);
+    Matrix b = random_matrix(k, n, rng);
+    Matrix c0 = random_matrix(m, n, rng);
+    const blas::PackedOperand pa = blas::gefmm_pack_a<double>(a.view());
+    const blas::PackedOperand pb = blas::gefmm_pack_b<double>(b.view());
+    ASSERT_TRUE(pa.valid());
+    ASSERT_TRUE(pb.valid());
+    Matrix serial(m, n);
+    copy(c0.view(), serial.view());
+    {
+      blas::ScopedGemmThreads one(1);
+      blas::gemm_view(1.5, a.view(), b.view(), 0.25, serial.view());
+    }
+    const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(m) *
+                              static_cast<std::size_t>(n);
+    const blas::PackedOperand* sides[3][2] = {
+        {&pa, nullptr}, {nullptr, &pb}, {&pa, &pb}};
+    for (const int threads : {1, 2, 3, 4}) {
+      blas::ScopedGemmThreads fan(threads);
+      for (const auto& side : sides) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " A " << (side[0] != nullptr)
+                     << " B " << (side[1] != nullptr));
+        Matrix c(m, n);
+        copy(c0.view(), c.view());
+        ASSERT_TRUE(blas::gemm_view_prepacked(1.5, a.view(), b.view(), 0.25,
+                                              c.view(), side[0], side[1]));
+        EXPECT_EQ(std::memcmp(c.data(), serial.data(), bytes), 0);
+      }
+    }
+  }
+}
+
 TEST(GemmThreads, SettingClampsAndScopesRestore) {
   const int prev = blas::gemm_threads();
   blas::set_gemm_threads(-3);
@@ -569,24 +703,33 @@ TEST(GemmThreads, SettingClampsAndScopesRestore) {
 }
 
 TEST(GemmThreads, ResolutionIsDeterministicInShapeAndSetting) {
-  const blas::GemmBlocking bk{32, 16, 64};
+  // Tasks = min(setting, split units, work / 2^18): units are MR row
+  // panels when m spans several mc blocks and NR column panels of one
+  // (jc, pc) iteration otherwise; work is m * min(k, kc) * min(n, nc)
+  // multiply-adds.
+  const blas::GemmBlocking bk{256, 256, 4096};
+  const index_t nr = blas::active_kernel().nr;
   {
     blas::ScopedGemmThreads one(1);
-    EXPECT_EQ(blas::packed_gemm_threads(bk, 1000, 64, 64), 1);
+    EXPECT_EQ(blas::packed_gemm_threads(bk, 1000, 256, 256), 1);
   }
   blas::ScopedGemmThreads four(4);
-  // Fewer than two ic blocks: always serial.
-  EXPECT_EQ(blas::packed_gemm_threads(bk, 32, 64, 64), 1);
   EXPECT_EQ(blas::packed_gemm_threads(bk, 1000, 0, 64), 1);
-  // Clamped to the mc-block count.
-  EXPECT_EQ(blas::packed_gemm_threads(bk, 96, 64, 64), 3);
-  // The setting caps the fan-out.
+  // Too little work for two tasks: serial.
+  EXPECT_EQ(blas::packed_gemm_threads(bk, 32, 64, 64), 1);
+  // m <= mc: column split, clamped to the two NR panels of n.
+  EXPECT_EQ(blas::packed_gemm_threads(bk, 256, 2 * nr, 256), 2);
+  // Clamped by work: 8 x 256 x 256 is two tasks' worth.
+  EXPECT_EQ(blas::packed_gemm_threads(bk, 8, 256, 256), 2);
+  // The setting caps the fan-out, for both splits.
+  EXPECT_EQ(blas::packed_gemm_threads(bk, 64, 256, 256), 4);
   EXPECT_EQ(blas::packed_gemm_threads(bk, 3200, 64, 64), 4);
   // Auto (0) resolves to the pool size, bounded by kMaxGemmTasks.
   blas::set_gemm_threads(0);
   const int resolved = blas::packed_gemm_threads(bk, 3200, 64, 64);
   EXPECT_GE(resolved, 1);
   EXPECT_LE(resolved, blas::kMaxGemmTasks);
+  EXPECT_LE(static_cast<std::size_t>(resolved), parallel::global_pool_size());
 }
 
 // ------------------------------------------------------- stats plumbing
@@ -785,9 +928,28 @@ TEST_F(KernelWarm, FloatScratchIsSeparateFromDouble) {
 TEST_F(KernelWarm, PinnedWarmTaskFaultSurfacesAsTaskError) {
   // The per-worker warm tasks run through the instrumented pool entry, so
   // a task-start fault during the pre-flight surfaces as the typed
-  // TaskError (and never as a crash inside the compute phase).
+  // TaskError (and never as a crash inside the compute phase). The worker
+  // pass is skipped once it has covered a blocking, so this test uses one
+  // no other test in the process warms.
+  const blas::GemmBlocking bk{kColdBk.mc + 16, kColdBk.kc + 16,
+                              kColdBk.nc + 16};
   fi::arm(1, fi::Site::pool_task);
-  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(kColdBk), TaskError);
+  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(bk), TaskError);
+}
+
+TEST_F(KernelWarm, WarmWorkerPassRunsOncePerBlocking) {
+  // Once every worker holds scratch for a blocking, the pre-flight warm
+  // issues no pool task for it or for any smaller blocking: an armed
+  // pool_task fault stays armed. A larger blocking warms the workers again.
+  const blas::GemmBlocking bk{kColdBk.mc + 24, kColdBk.kc + 24,
+                              kColdBk.nc + 24};
+  blas::ensure_pack_capacity_all_workers(bk);
+  fi::arm(1, fi::Site::pool_task);
+  EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(bk));
+  EXPECT_NO_THROW(blas::ensure_pack_capacity_all_workers(kColdBk));
+  EXPECT_TRUE(fi::armed());
+  const blas::GemmBlocking larger{bk.mc + 8, bk.kc + 8, bk.nc + 8};
+  EXPECT_THROW(blas::ensure_pack_capacity_all_workers(larger), TaskError);
 }
 
 TEST_F(KernelWarm, WarmedFanOutComputeAllocatesNothing) {

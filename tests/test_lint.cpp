@@ -90,6 +90,16 @@ TEST(LintCorpus, GoodTwinsPassClean) {
   }
 }
 
+TEST(LintCorpus, LazyPoolConstructionInNoFailRegionIsFlagged) {
+  // The r2 bad tree's pool fixture reaches global_pool() inside the
+  // region; its clean twin (same directory pass above) reaches the pool in
+  // its pre-flight and fans out with run_batch_nofail.
+  const RunResult r =
+      run_lint(std::string(LINT_CORPUS) + "/r2_nofail/bad");
+  EXPECT_NE(r.out.find("pool.cpp"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("global_pool("), std::string::npos) << r.out;
+}
+
 TEST(LintCorpus, SuppressionIsCountedNotSilent) {
   // The good suppression fixture holds a real (suppressed) violation; the
   // summary must say so rather than pretend the tree is trivially clean.

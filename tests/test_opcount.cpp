@@ -192,6 +192,8 @@ class OpCountMirror
                      std::tuple<double, double>>> {};
 
 TEST_P(OpCountMirror, MeasuredEqualsMirror) {
+  // Asserts the paper's serial recursion: pin the pool-aware depth to P = 1.
+  core::detail::ScopedPoolWorkers serial_depth(1);
   const auto [scheme, shape, ab] = GetParam();
   const auto [m, n, k] = shape;
   const auto [alpha, beta] = ab;

@@ -380,6 +380,8 @@ TEST(PanelCache, RegisterRefusesWhenSlabIsFull) {
 }
 
 TEST(PanelCache, PredictorCarvesSlabOnlyPastOneColumnStrip) {
+  // Asserts the paper's serial recursion: pin the pool-aware depth to P = 1.
+  core::detail::ScopedPoolWorkers serial_depth(1);
   // The cache pays off only when a fused leaf's n extent spans several GEMM
   // column strips; below that the predictor must carve nothing, keeping
   // Table-1-scale workspace bounds exact.

@@ -377,6 +377,8 @@ TEST(TunedPolicy, InstallThenConsultRoutesByThresholds) {
 }
 
 TEST(TunedPolicy, HybridPathRunsClassicRecursionAndMatchesReference) {
+  // Asserts the paper's serial recursion: pin the pool-aware depth to P = 1.
+  core::detail::ScopedPoolWorkers serial_depth(1);
   // Above tau_hybrid the tuned route switches to the classic eq.-15
   // schedule (Scheme::automatic): the driver must recurse (not flat-GEMM)
   // and still match the reference product bit-for-bit in routing terms.
@@ -421,6 +423,8 @@ TEST(TunedPolicy, HybridPathRunsClassicRecursionAndMatchesReference) {
 }
 
 TEST(TunedPolicy, ParallelEntryForwardsCallerArenaToSerialDelegation) {
+  // Asserts the paper's serial recursion: pin the pool-aware depth to P = 1.
+  core::detail::ScopedPoolWorkers serial_depth(1);
   // The parallel driver owns only the DAG branch of a use_tuned call;
   // every other path delegates to the serial driver. The delegation must
   // forward the caller's arena -- dropping it silently re-allocates the

@@ -3,11 +3,13 @@
 // 3.2, Table 1).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 #include <vector>
 
 #include "blas/gemm.hpp"
 #include "core/dgefmm.hpp"
+#include "core/sgefmm.hpp"
 #include "core/workspace.hpp"
 #include "support/random.hpp"
 
@@ -248,6 +250,146 @@ TEST(WorkspaceError, UndersizedCallerArenaFallsBackWhenAsked) {
   // The caller's live allocation is still intact and the arena unused
   // beyond it.
   EXPECT_EQ(arena.in_use(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The pool-aware recursion depth (CutoffCriterion::stop on a pool of P
+// workers). Pinned through the internal seam, so both checks mean the same
+// on every host.
+
+// Levels the paper's eq. (15) takes on the even-halving chain of (m, k, n):
+// every node of one call's recursion has the same shape at a given depth.
+int paper_depth(index_t m, index_t k, index_t n) {
+  const CutoffCriterion paper =
+      CutoffCriterion::paper_default(blas::Machine::rs6000);
+  int d = 0;
+  while (m >= 2 && k >= 2 && n >= 2 && !paper.stop(m, k, n, d)) {
+    m = (m & ~index_t{1}) / 2;
+    k = (k & ~index_t{1}) / 2;
+    n = (n & ~index_t{1}) / 2;
+    ++d;
+  }
+  return d;
+}
+
+count_t pow7(int d) {
+  count_t p = 1;
+  for (int i = 0; i < d; ++i) p *= 7;
+  return p;
+}
+
+struct DenseShape {
+  index_t m, n, k;
+  Trans ta, tb;
+  double beta;
+  const char* name;
+};
+
+// The repository benchmark's f64 shapes (paper Tables 2-3 and the
+// odd-peeling case).
+constexpr DenseShape kDenseShapes[] = {
+    {2048, 2048, 2048, Trans::no, Trans::no, 0.0, "sq2048"},
+    {2047, 2047, 2047, Trans::transpose, Trans::no, 1.0, "odd2047"},
+    {3072, 3072, 768, Trans::no, Trans::no, 1.0, "rect3072k768"},
+    {1536, 3072, 2560, Trans::no, Trans::transpose, 0.0,
+     "rect1536x3072k2560"},
+};
+
+// Runs the default drop-in on one shape and returns its stats; C is
+// returned through `c`.
+DgefmmStats run_default(const DenseShape& sh, Matrix& c, std::uint64_t seed,
+                        const CutoffCriterion* cutoff = nullptr) {
+  Rng rng(seed);
+  const index_t ar = sh.ta == Trans::no ? sh.m : sh.k;
+  const index_t ac = sh.ta == Trans::no ? sh.k : sh.m;
+  const index_t br = sh.tb == Trans::no ? sh.k : sh.n;
+  const index_t bc = sh.tb == Trans::no ? sh.n : sh.k;
+  const Matrix a = random_matrix(ar, ac, rng);
+  const Matrix b = random_matrix(br, bc, rng);
+  c = random_matrix(sh.m, sh.n, rng);
+  DgefmmStats stats;
+  DgefmmConfig cfg;
+  if (cutoff != nullptr) cfg.cutoff = *cutoff;
+  cfg.stats = &stats;
+  EXPECT_EQ(core::dgefmm(sh.ta, sh.tb, sh.m, sh.n, sh.k, 1.0, a.data(), ar,
+                         b.data(), br, sh.beta, c.data(), sh.m, cfg),
+            0);
+  return stats;
+}
+
+TEST(PoolDepth, OneWorkerRunsThePaperRecursion) {
+  // With P = 1 the drop-in is the paper's DGEFMM: depth and leaf count from
+  // eq. (15) alone, peak == the P = 1 prediction, and C bit-identical to
+  // the same uniform recursion forced by depth (fixed_depth is untouched by
+  // the pool, so that run may use any P). Half-size benchmark shapes keep
+  // the serial-depth runs short.
+  const DenseShape shapes[] = {
+      {1024, 1024, 1024, Trans::no, Trans::no, 0.0, "sq1024"},
+      {1023, 1023, 1023, Trans::transpose, Trans::no, 1.0, "odd1023"},
+      {1536, 1536, 384, Trans::no, Trans::no, 1.0, "rect1536k384"},
+  };
+  for (const DenseShape& sh : shapes) {
+    SCOPED_TRACE(sh.name);
+    const int d = paper_depth(sh.m, sh.k, sh.n);
+    ASSERT_GE(d, 2);
+    Matrix c1, c_fixed;
+    DgefmmStats stats;
+    count_t predicted = 0;
+    {
+      core::detail::ScopedPoolWorkers serial_depth(1);
+      stats = run_default(sh, c1, 77);
+      predicted = core::workspace_doubles(sh.m, sh.n, sh.k, sh.beta,
+                                          DgefmmConfig{});
+    }
+    EXPECT_EQ(stats.pool_workers, 1);
+    EXPECT_EQ(stats.max_depth, d);
+    EXPECT_EQ(stats.base_gemms, pow7(d));
+    EXPECT_EQ(stats.peak_workspace, static_cast<std::size_t>(predicted));
+    {
+      core::detail::ScopedPoolWorkers four(4);
+      const CutoffCriterion fixed = CutoffCriterion::fixed_depth(d);
+      (void)run_default(sh, c_fixed, 77, &fixed);
+    }
+    EXPECT_EQ(std::memcmp(c1.data(), c_fixed.data(),
+                          sizeof(double) * static_cast<std::size_t>(sh.m) *
+                              static_cast<std::size_t>(sh.n)),
+              0);
+  }
+}
+
+TEST(PoolDepth, FourWorkersPredictionEqualsPeakOnDenseShapes) {
+  // P = 4 never takes more levels than P = 1 (sq2048: 2 instead of 4) and
+  // the predictor follows it exactly, odd peeling included.
+  core::detail::ScopedPoolWorkers four(4);
+  for (const DenseShape& sh : kDenseShapes) {
+    SCOPED_TRACE(sh.name);
+    Matrix c;
+    const DgefmmStats stats = run_default(sh, c, 91);
+    const count_t predicted =
+        core::workspace_doubles(sh.m, sh.n, sh.k, sh.beta, DgefmmConfig{});
+    EXPECT_EQ(stats.pool_workers, 4);
+    EXPECT_EQ(stats.peak_workspace, static_cast<std::size_t>(predicted));
+    EXPECT_LE(stats.max_depth, paper_depth(sh.m, sh.k, sh.n));
+    if (sh.m == 2048) {
+      EXPECT_EQ(stats.max_depth, 2);
+    }
+  }
+  // The f32 shape through sgefmm.
+  const index_t n = 3072;
+  Rng rng(92);
+  const MatrixF a = random_matrix_f(n, n, rng);
+  const MatrixF b = random_matrix_f(n, n, rng);
+  MatrixF c(n, n);
+  DgefmmStats stats;
+  core::SgefmmConfig cfg;
+  cfg.stats = &stats;
+  ASSERT_EQ(core::sgefmm(Trans::no, Trans::no, n, n, n, 1.0f, a.data(), n,
+                         b.data(), n, 0.0f, c.data(), n, cfg),
+            0);
+  EXPECT_EQ(stats.peak_workspace,
+            static_cast<std::size_t>(core::workspace_floats(
+                n, n, n, 0.0f, core::SgefmmConfig{})));
+  EXPECT_LT(stats.max_depth, paper_depth(n, n, n));
 }
 
 }  // namespace

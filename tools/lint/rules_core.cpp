@@ -89,6 +89,12 @@ void rule_nofail_regions(const SourceFile& f, Sink& sink) {
       // cache's infallible filler is named fill_packed_image precisely so
       // it stays off this list.
       "pack_operand(", "gefmm_pack_a(", "gefmm_pack_b(",
+      // The global pool is built lazily on first use, and building it
+      // spawns threads (std::system_error). A no-fail region fans out
+      // through a pool reference its pre-flight obtained; run_batch_nofail
+      // itself -- the packed-loop and quadrant-add fan-out -- is
+      // sanctioned.
+      "global_pool(",
   };
   int depth = 0;
   int suspend_depth = -1;  // brace depth at the ScopedSuspend declaration
