@@ -35,11 +35,9 @@ T pick(T smoke, T full) {
   return full_mode() ? full : smoke;
 }
 
-/// Thread budget the parallel benches sweep up to. STRASSEN_BENCH_THREADS=N
-/// overrides; 0/unset resolves to the pool size. The override exists so a
-/// bench host whose pool defaults small (CI containers often report one
-/// hardware thread) can still exercise multi-lane schedules -- the DAG
-/// planner deliberately does not clamp lanes to workers.
+/// Thread budget the benches record and the serving bench sizes its
+/// workers by. STRASSEN_BENCH_THREADS=N overrides; 0/unset resolves to the
+/// pool size.
 inline std::size_t bench_threads() {
   const char* env = std::getenv("STRASSEN_BENCH_THREADS");
   if (env != nullptr && *env != '\0') {
@@ -66,14 +64,9 @@ inline void banner(const std::string& what, const std::string& paper_ref) {
     std::cout << gt;
   }
   std::cout << "  [STRASSEN_GEMM_THREADS=N, 1 = serial]\n";
-  const char* pd = std::getenv("STRASSEN_PAR_DEPTH");
-  const char* pl = std::getenv("STRASSEN_PAR_LANES");
-  std::cout << "scheduler: pool=" << parallel::global_pool().size()
+  std::cout << "pool: " << parallel::global_pool().size()
             << " workers, bench threads=" << bench_threads()
-            << " [STRASSEN_BENCH_THREADS=N], par_depth="
-            << (pd != nullptr && *pd != '\0' ? pd : "auto") << ", lanes="
-            << (pl != nullptr && *pl != '\0' ? pl : "auto")
-            << "  [STRASSEN_PAR_DEPTH=1|2, STRASSEN_PAR_LANES=N]\n";
+            << " [STRASSEN_BENCH_THREADS=N]\n";
   std::cout << "mode: " << (full_mode() ? "FULL (paper-scale)" : "smoke")
             << "  [STRASSEN_BENCH_FULL=1 for paper-scale sizes]\n\n";
 }

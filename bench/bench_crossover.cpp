@@ -2,13 +2,12 @@
 // pass on this host, install the resulting policy, then sweep square orders
 // m = 1024..8192 (smoke: smaller) across every schedule the library has --
 // plain DGEMM, the classic eq.-15 hybrid, forced STRASSEN1/STRASSEN2,
-// fused x2, the task-DAG top level at 1..bench_threads() lanes, and
-// finally `use_tuned` dispatch consulting the freshly installed policy.
+// fused x2, and finally `use_tuned` dispatch consulting the freshly
+// installed policy. Every schedule runs at the default gemm-thread width.
 // Emits BENCH_crossover.json with per-shape times, the tuned-path the
 // policy selected at each shape, and the tuned-vs-DGEMM speedup the
 // acceptance gate reads (>= 1.15x at the largest shape where the host
 // allows).
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -17,8 +16,6 @@
 #include "bench_common.hpp"
 #include "core/tuned_policy.hpp"
 #include "core/workspace.hpp"
-#include "parallel/parallel_strassen.hpp"
-#include "parallel/task_dag.hpp"
 #include "tuning/autotune.hpp"
 
 using namespace strassen;
@@ -46,24 +43,6 @@ struct ShapeResult {
   bool deterministic;       // tuned run bitwise equal across thread budgets
 };
 
-// Times one parallel (task-DAG capable) configuration on p.
-double time_parallel(bench::Problem& p, parallel::ParallelDgefmmConfig cfg,
-                     Arena& arena, int reps) {
-  cfg.workspace = &arena;
-  const index_t m = p.m();
-  return bench::time_problem(
-      p,
-      [&] {
-        if (parallel::dgefmm_parallel(Trans::no, Trans::no, m, m, m, 1.0,
-                                      p.a.data(), p.a.ld(), p.b.data(),
-                                      p.b.ld(), 0.0, p.c.data(), p.c.ld(),
-                                      cfg) != 0) {
-          std::abort();
-        }
-      },
-      reps);
-}
-
 }  // namespace
 
 int main() {
@@ -72,6 +51,9 @@ int main() {
 
   const std::size_t bt = bench::bench_threads();
   const std::size_t pool = parallel::global_pool().size();
+  // Width the packed loops fan out to (the gemm-thread setting, 0 = pool).
+  const int gt = blas::gemm_threads();
+  const std::size_t width = gt == 0 ? pool : static_cast<std::size_t>(gt);
 
   // Stage 1: measure this host. A modest sweep is enough -- the crossovers
   // live well below the bench shapes, and the persisted taus extrapolate
@@ -80,15 +62,14 @@ int main() {
   opts.min_size = 256;
   opts.max_size = bench::pick<index_t>(768, 2048);
   opts.reps = bench::pick(1, 2);
-  opts.dag_threads = bt;
-  std::printf("autotuning (sweep %d..%d, reps %d, dag threads %zu)...\n",
-              int(opts.min_size), int(opts.max_size), opts.reps, bt);
+  std::printf("autotuning (sweep %d..%d, reps %d)...\n", int(opts.min_size),
+              int(opts.max_size), opts.reps);
   const tuning::TunedCriteria tuned = tuning::autotune_double(opts);
   std::printf(
       "  kernel %s  tau_fused %.0f  tau_fused2 %.0f  tau_hybrid %.0f  "
-      "tau_s2 %.0f  tau_dag %.0f\n",
+      "tau_s2 %.0f\n",
       tuned.kernel.c_str(), tuned.tau_fused, tuned.tau_fused2,
-      tuned.tau_hybrid, tuned.tau_s2, tuned.tau_dag);
+      tuned.tau_hybrid, tuned.tau_s2);
   if (!tuning::install_criteria(tuned)) {
     std::fprintf(stderr, "install_criteria rejected the fresh criteria\n");
     return 1;
@@ -120,53 +101,42 @@ int main() {
       sr.runs.push_back(
           Run{name, threads, t, mflops(m, m, m, t), sr.dgemm_seconds / t});
     };
-    add("dgemm", 1, sr.dgemm_seconds);
+    add("dgemm", width, sr.dgemm_seconds);
 
     Arena arena;
     {  // the classic eq.-15 hybrid and the forced schemes, tuned cutoffs
       core::DgefmmConfig cfg;
       cfg.cutoff = tuned.beta_zero;
       cfg.scheme = core::Scheme::automatic;
-      add("hybrid-auto", 1, bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, reps));
+      add("hybrid-auto", width,
+          bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, reps));
       cfg.scheme = core::Scheme::strassen1;
-      add("strassen1", 1, bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, reps));
+      add("strassen1", width,
+          bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, reps));
       cfg.scheme = core::Scheme::strassen2;
-      add("strassen2", 1, bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, reps));
+      add("strassen2", width,
+          bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, reps));
       cfg.scheme = core::Scheme::fused;
       cfg.fused_levels = 2;
-      add("fused-x2", 1, bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, reps));
-    }
-    {  // the task-DAG schedule at each thread budget
-      std::vector<std::size_t> budgets = {1, bt};
-      std::sort(budgets.begin(), budgets.end());
-      budgets.erase(std::unique(budgets.begin(), budgets.end()),
-                    budgets.end());
-      for (const std::size_t threads : budgets) {
-        parallel::ParallelDgefmmConfig cfg;
-        cfg.cutoff = tuned.beta_zero;
-        cfg.scheme = core::Scheme::fused;
-        cfg.threads = threads;
-        add("dag", threads, time_parallel(p, cfg, arena, reps));
-      }
+      add("fused-x2", width,
+          bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, reps));
     }
     {  // tuned dispatch: the policy picks the path, we record which
-      parallel::ParallelDgefmmConfig cfg;
+      core::DgefmmConfig cfg;
       cfg.use_tuned = true;
-      cfg.threads = bt;
       core::DgefmmStats stats;
       cfg.stats = &stats;
-      const double t = time_parallel(p, cfg, arena, reps);
-      add("tuned", bt, t);
+      const double t = bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, reps);
+      add("tuned", width, t);
       sr.tuned_path =
           stats.tuned_path != nullptr ? stats.tuned_path : "(none)";
       sr.tuned_speedup = sr.dgemm_seconds / t;
       sr.deterministic = true;
-      if (bt > 1) {  // bitwise identity across thread budgets
+      if (width > 1) {  // bitwise identity against the serial packed loop
         Matrix c_ref(m, m);
         copy(p.c.view(), c_ref.view());
-        parallel::ParallelDgefmmConfig one = cfg;
-        one.threads = 1;
-        (void)time_parallel(p, one, arena, 1);
+        blas::ScopedGemmThreads serial(1);
+        (void)bench::time_dgefmm(p, 1.0, 0.0, cfg, arena, 1);
         sr.deterministic =
             std::memcmp(c_ref.data(), p.c.data(),
                         std::size_t(m) * std::size_t(m) * sizeof(double)) ==
@@ -208,10 +178,9 @@ int main() {
   std::fprintf(f, "  \"bench_threads\": %zu,\n", bt);
   std::fprintf(f,
                "  \"criteria\": {\"tau_fused\": %.1f, \"tau_fused2\": %.1f, "
-               "\"tau_hybrid\": %.1f, \"tau_s2\": %.1f, \"tau_dag\": %.1f, "
-               "\"threads\": %d},\n",
+               "\"tau_hybrid\": %.1f, \"tau_s2\": %.1f},\n",
                tuned.tau_fused, tuned.tau_fused2, tuned.tau_hybrid,
-               tuned.tau_s2, tuned.tau_dag, tuned.threads);
+               tuned.tau_s2);
   std::fprintf(f, "  \"shapes\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ShapeResult& sr = results[i];

@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "parallel/parallel_strassen.hpp"
-#include "parallel/task_dag.hpp"
+#include "core/workspace.hpp"
 #include "serve/serve.hpp"
 
 using namespace strassen;
@@ -44,7 +43,8 @@ struct ConfigResult {
 // wall time from first submit to last completion.
 double run_trace(serve::Queue& q, const std::vector<TraceShape>& shapes,
                  const std::vector<Matrix>& as, const std::vector<Matrix>& bs,
-                 std::size_t requests, int submitters) {
+                 const core::CutoffCriterion& cutoff, std::size_t requests,
+                 int submitters) {
   constexpr std::size_t kBurst = 4;
   Timer timer;
   std::vector<std::thread> threads;
@@ -80,7 +80,7 @@ double run_trace(serve::Queue& q, const std::vector<TraceShape>& shapes,
           req.ldb = bs[seq % shapes.size()].ld();
           req.c = cs[j].data();
           req.ldc = cs[j].ld();
-          req.cutoff = core::CutoffCriterion::square_simple(96);
+          req.cutoff = cutoff;
           req.on_failure = core::FailurePolicy::fallback;
           tickets.push_back(q.submit(req));
         }
@@ -121,21 +121,24 @@ int main() {
     }
   }
 
-  // The exact price of the largest shape on either execution path: a
-  // budget of this size admits every request but at most one largest-shape
-  // run at a time -- deliberately undersized for the concurrency level.
-  const index_t max_n = shapes.back().n;
+  // The drop-in takes a Strassen level only where the cutoff still recurses
+  // on one pool worker's share (DESIGN.md section 9.4), so the trace's
+  // cutoff is divided by the pool size: every pool recurses as a 96 cutoff
+  // does on one worker, and the recursing requests keep a nonzero price.
+  const core::CutoffCriterion cutoff = core::CutoffCriterion::square_simple(
+      96.0 / static_cast<double>(parallel::global_pool().size()));
+
+  // The exact price of the most expensive request in the trace: a budget
+  // of this size admits every request but at most one such run at a time
+  // -- deliberately undersized for the concurrency level.
   std::size_t tight = 0;
   {
-    parallel::ParallelDgefmmConfig pcfg;
-    pcfg.cutoff = core::CutoffCriterion::square_simple(96);
-    tight = static_cast<std::size_t>(
-        parallel::plan_dag(max_n, max_n, max_n, pcfg).workspace);
-    core::DgefmmConfig scfg;
-    scfg.cutoff = core::CutoffCriterion::square_simple(96);
-    tight = std::max(
-        tight, static_cast<std::size_t>(core::dgefmm_workspace_doubles(
-                   max_n, max_n, max_n, 1.0, scfg)));
+    core::DgefmmConfig cfg;
+    cfg.cutoff = cutoff;
+    for (const TraceShape& ts : shapes) {
+      tight = std::max(tight, static_cast<std::size_t>(core::workspace_doubles(
+                                  ts.n, ts.n, ts.n, ts.beta, cfg)));
+    }
   }
 
   struct Config {
@@ -145,8 +148,8 @@ int main() {
     std::size_t queue_cap;
     int workers;
   };
-  // Serving workers follow the bench thread budget like the parallel
-  // benches (STRASSEN_BENCH_THREADS=N overrides; ServeOptions clamps).
+  // Serving workers follow the bench thread budget
+  // (STRASSEN_BENCH_THREADS=N overrides; ServeOptions clamps).
   const int workers = static_cast<int>(
       std::min<std::size_t>(bench::bench_threads(), 64));
   const Config configs[] = {
@@ -164,7 +167,8 @@ int main() {
     opt.queue_cap = cc.queue_cap;
     opt.workers = cc.workers;
     serve::Queue q(opt);
-    const double secs = run_trace(q, shapes, as, bs, requests, submitters);
+    const double secs =
+        run_trace(q, shapes, as, bs, cutoff, requests, submitters);
     ConfigResult r;
     r.name = cc.name;
     r.policy = serve::overflow_policy_name(cc.policy);

@@ -4,7 +4,7 @@
 // policy, and proves a use_tuned call actually consults it.
 //
 // Usage: autotune_cli [--quick | --full] [--elem f64|f32] [--min-size N]
-//                     [--max-size N] [--reps N] [--threads N] [--out PATH]
+//                     [--max-size N] [--reps N] [--out PATH]
 //
 //   --quick  tiny budget for CI (scripts/check.sh): scheme sweep 128..384,
 //            one rep, paper-default cutoffs. Seconds, not minutes.
@@ -87,9 +87,6 @@ int main(int argc, char** argv) {
       if (const char* v = next()) opts.max_size = std::atoll(v);
     } else if (arg == "--reps") {
       if (const char* v = next()) opts.reps = std::atoi(v);
-    } else if (arg == "--threads") {
-      if (const char* v = next())
-        opts.dag_threads = static_cast<std::size_t>(std::atoll(v));
     } else if (arg == "--out") {
       if (const char* v = next()) out_path = v;
     } else if (arg == "--elem") {
@@ -99,8 +96,7 @@ int main(int argc, char** argv) {
       }
     } else {
       std::cerr << "usage: autotune_cli [--quick|--full] [--elem f64|f32] "
-                   "[--min-size N] [--max-size N] [--reps N] [--threads N] "
-                   "[--out PATH]\n";
+                   "[--min-size N] [--max-size N] [--reps N] [--out PATH]\n";
       return arg == "--help" ? 0 : 1;
     }
   }
@@ -121,9 +117,8 @@ int main(int argc, char** argv) {
               << (tuned.tau_fused2 == 0 ? " (never)" : "") << "\n"
               << "  tau_hybrid  " << tuned.tau_hybrid
               << (tuned.tau_hybrid == 0 ? " (never)" : "") << "\n"
-              << "  tau_dag     " << tuned.tau_dag
-              << (tuned.tau_dag == 0 ? " (never)" : "") << "  [threads "
-              << tuned.threads << "]\n";
+              << "  tau_s2      " << tuned.tau_s2
+              << (tuned.tau_s2 == 0 ? " (never)" : "") << "\n";
 
     if (!tuning::save_criteria_file(tuned, out_path)) {
       return fail("cannot write " + out_path);

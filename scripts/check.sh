@@ -9,8 +9,8 @@
 # forced onto the scalar micro-kernel and onto the best SIMD one
 # (STRASSEN_KERNEL, resolved at process start), under release and asan --
 # the only way the env-resolved dispatch path itself gets exercised.
-# The gemm-thread, parallel and serving matrices sweep the intra-op width,
-# scheduler and admission env knobs the same way.
+# The gemm-thread and serving matrices sweep the intra-op width and
+# admission env knobs the same way.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,7 +21,7 @@ echo "== stage: lint =="
 scripts/lint.sh
 
 # Path-sensitive static analysis over the concurrency-dense subsystems
-# (support, serve, parallel) -- the layers the section 13 lint rules
+# (support, serve) -- the layers the section 13 lint rules
 # guard, where an analyzer can still catch what text-level rules cannot
 # (leaks on error paths, use-after-move, null derefs). Tool selection is
 # tolerant of the GCC-only reference image:
@@ -32,9 +32,9 @@ scripts/lint.sh
 #     for review but do not fail the gate, and template-heavy files are
 #     cut off by a per-file timeout rather than stalling the check;
 #   * neither available: skipped with a notice.
-echo "== stage: analyzer (src/support src/serve src/parallel) =="
+echo "== stage: analyzer (src/support src/serve) =="
 mapfile -t analyzer_sources < <(
-  git ls-files 'src/support/*.cpp' 'src/serve/*.cpp' 'src/parallel/*.cpp')
+  git ls-files 'src/support/*.cpp' 'src/serve/*.cpp')
 if command -v clang > /dev/null 2>&1; then
   for f in "${analyzer_sources[@]}"; do
     echo "-- clang --analyze ${f}"
@@ -80,24 +80,6 @@ for preset in release asan; do
     echo "== kernel matrix: ${preset} / STRASSEN_KERNEL=${kern} =="
     STRASSEN_KERNEL="${kern}" ctest --preset "${preset}" -j "${jobs}" \
       -L "${kernel_suites}" "$@"
-  done
-done
-
-# Parallel-scheduler matrix: the DAG executor's suites re-run with the
-# scheduler knobs pinned by environment, under release and (for the data
-# races a wrong schedule would introduce) tsan. Depth x lanes covers both
-# graph shapes, the single-lane degenerate case, and lanes > pool workers
-# (stealing with contention). The tests that pin cfg fields explicitly are
-# env-immune; this sweep exercises the env-resolution paths everywhere
-# else.
-parallel_suites='test_parallel|test_faults|test_sgefmm'
-for preset in release tsan; do
-  for depth in 1 2; do
-    for lanes in 1 7; do
-      echo "== parallel matrix: ${preset} / STRASSEN_PAR_DEPTH=${depth} STRASSEN_PAR_LANES=${lanes} =="
-      STRASSEN_PAR_DEPTH="${depth}" STRASSEN_PAR_LANES="${lanes}" \
-        ctest --preset "${preset}" -j "${jobs}" -L "${parallel_suites}" "$@"
-    done
   done
 done
 

@@ -428,7 +428,7 @@ template <class T>
 void ensure_pack_capacity_all_workers(const GemmBlocking& bk) {
   ensure_pack_capacity<T>(bk);
   parallel::ThreadPool& pool = parallel::global_pool();
-  if (pool.on_worker_thread()) return;  // the outer driver warmed the pool
+  if (pool.on_worker_thread()) return;  // cannot wait on its own pool
   const std::size_t a = a_pack_elems<T>(bk);
   const std::size_t b = b_pack_elems<T>(bk);
   WorkersWarmT<T>& warm = workers_warm<T>();

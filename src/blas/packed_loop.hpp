@@ -229,9 +229,8 @@ void ensure_pack_capacity(const GemmBlocking& bk);
 /// pass runs only until it has succeeded once for a blocking at least as
 /// large (until a worker releases its scratch), so a warm pool costs no
 /// synchronization with the workers. Called from a pool worker it degrades
-/// to the calling-thread warm (the outer parallel driver has already
-/// warmed the pool). May throw std::bad_alloc or TaskError (fault
-/// injection).
+/// to the calling-thread warm (a worker cannot wait on its own pool's
+/// pinned tasks). May throw std::bad_alloc or TaskError (fault injection).
 template <class T = double>
 void ensure_pack_capacity_all_workers(const GemmBlocking& bk);
 

@@ -40,7 +40,7 @@
 //                                   the reject policy, or the request's
 //                                   exact workspace exceeds the budget)
 //   info = STRASSEN_INFO_EXPIRED    deadline passed while still queued
-//   info = STRASSEN_INFO_CANCELED   canceled before the first write to C
+//   info = STRASSEN_INFO_CANCELED   canceled before the request ran
 //   info = STRASSEN_INFO_BAD_HANDLE handle is unknown or already waited
 //
 // C is written if and only if info == 0 (argument errors and negative

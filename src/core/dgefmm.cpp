@@ -96,7 +96,7 @@ void gefmm_view_t(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
   // predictors apply) and the resolved configuration runs below.
   bool one_gemm = false;
   if (cfg.use_tuned) {
-    const TunedPath path = resolve_tuned<T>(m, k, n, beta, /*workers=*/1, cfg);
+    const TunedPath path = resolve_tuned<T>(m, k, n, beta, cfg);
     if (cfg.stats != nullptr) cfg.stats->tuned_path = tuned_path_name(path);
     one_gemm = (path == TunedPath::gemm);
   }

@@ -76,15 +76,12 @@ template const TunedPolicy* tuned_policy<double>();
 template const TunedPolicy* tuned_policy<float>();
 
 TunedPath tuned_path_for(const TunedPolicy& policy, index_t m, index_t k,
-                         index_t n, int workers) {
+                         index_t n) {
   // Equivalent order: the cube edge of a square problem with the same
   // operation count, so one threshold covers rectangular shapes.
   const double s = std::cbrt(static_cast<double>(m) * static_cast<double>(k) *
                              static_cast<double>(n));
   if (policy.tau_fused > 0 && s <= policy.tau_fused) return TunedPath::gemm;
-  if (workers > 1 && policy.tau_dag > 0 && s > policy.tau_dag) {
-    return TunedPath::dag;
-  }
   // Hybrid outranks the fused thresholds: once the classic recursion wins,
   // it wins for every larger size (its depth grows with the problem while
   // the fused schedules stay capped at two levels). Within that regime a

@@ -6,11 +6,10 @@
 // paths need: at what equivalent order does the fused Strassen schedule
 // overtake plain packed GEMM, when does a second fused level pay, when does
 // the classic eq.-15 recursion (whose depth keeps growing with the problem)
-// retake the lead from the level-capped fused schedules, and when does the
-// task-DAG parallel schedule overtake the serial ones.
+// retake the lead from the level-capped fused schedules.
 //
 // Layering: core cannot depend on tuning/ (which owns measurement and file
-// persistence) or parallel/ (which owns the DAG). So the policy lives here
+// persistence). So the policy lives here
 // as a passive registry: tuning/autotune.cpp measures and installs, the
 // drivers consult. A policy is stamped with the micro-kernel name it was
 // measured under and is a hard miss when the stamp no longer matches the
@@ -40,7 +39,6 @@ enum class TunedPath {
               ///< schedule's three temporaries stay hot where the automatic
               ///< hybrid's per-level schedule churn does not, so past
               ///< tau_s2 it is the classic recursion that actually wins
-  dag,        ///< task-DAG parallel schedule (parallel driver only)
 };
 
 /// Static-storage name for stats and bench JSON.
@@ -58,19 +56,17 @@ constexpr const char* tuned_path_name(TunedPath p) {
       return "hybrid";
     case TunedPath::strassen2:
       return "strassen2";
-    case TunedPath::dag:
-      return "dag";
   }
   return "?";
 }
 
 /// One element type's measured dispatch policy. The scheme thresholds are
 /// equivalent orders s = cbrt(m*k*n); 0 disables a threshold (tau_fused = 0
-/// means "fused from the first size", tau_fused2/tau_hybrid/tau_dag = 0 mean
-/// "that schedule never won in the sweep").
+/// means "fused from the first size", tau_fused2/tau_hybrid = 0 mean "that
+/// schedule never won in the sweep").
 struct TunedPolicy {
   /// Eq.-15 hybrid cutoffs per beta case (Section 4.2's two sets), applied
-  /// below the fused levels and inside DAG leaves.
+  /// below the fused levels.
   CutoffCriterion beta_zero = CutoffCriterion::hybrid(199, 75, 125, 95);
   CutoffCriterion general = beta_zero;
 
@@ -86,8 +82,6 @@ struct TunedPolicy {
                           ///< automatic hybrid. 0 = never measured to win;
                           ///< files from before this threshold existed load
                           ///< as 0 and keep the old hybrid routing.
-  double tau_dag = 0;     ///< above: the task-DAG beats the serial schedule
-  int threads = 0;        ///< pool size tau_dag was measured with
 
   /// Micro-kernel stamp (blas::KernelInfo::name) the sweep ran under. A
   /// consult under any other active kernel is a hard miss.
@@ -113,11 +107,9 @@ void clear_tuned_policy();
 template <class T>
 const TunedPolicy* tuned_policy();
 
-/// The schedule the policy picks for an (m, k, n) call with `workers`
-/// scheduler lanes available (pass 1 from the serial driver: the DAG path
-/// needs a pool to win).
+/// The schedule the policy picks for an (m, k, n) call.
 TunedPath tuned_path_for(const TunedPolicy& policy, index_t m, index_t k,
-                         index_t n, int workers);
+                         index_t n);
 
 }  // namespace strassen::core
 
@@ -129,17 +121,17 @@ namespace strassen::core {
 /// cutoff/scheme/fused_levels for the selected path, and always clears
 /// cfg.use_tuned so the resolved configuration re-enters the driver as an
 /// ordinary explicit one. Returns the selected path (classic when no valid
-/// policy is installed; the caller owns routing gemm/dag, which need no
+/// policy is installed; the caller owns routing gemm, which needs no
 /// recursion config at all). The driver and the workspace predictors both
 /// resolve through this single definition, so the predicted arena size is
 /// always the size of the schedule that actually runs.
 template <class T>
-TunedPath resolve_tuned(index_t m, index_t k, index_t n, T beta, int workers,
+TunedPath resolve_tuned(index_t m, index_t k, index_t n, T beta,
                         GefmmConfigT<T>& cfg) {
   cfg.use_tuned = false;
   const TunedPolicy* policy = tuned_policy<T>();
   if (policy == nullptr) return TunedPath::classic;
-  const TunedPath path = tuned_path_for(*policy, m, k, n, workers);
+  const TunedPath path = tuned_path_for(*policy, m, k, n);
   cfg.cutoff = policy->select(static_cast<double>(beta));
   if (path == TunedPath::fused_l1) {
     cfg.scheme = Scheme::fused;

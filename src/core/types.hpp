@@ -110,14 +110,11 @@ struct DgefmmStats {
                                  ///< pool's size (see CutoffCriterion::
                                  ///< stop). Explains why max_depth and
                                  ///< base_gemms differ between hosts.
-  count_t steals = 0;            ///< DAG nodes a scheduler lane executed out
-                                 ///< of another lane's deque (parallel driver
-                                 ///< only; the overlap work-stealing won)
-  count_t dag_nodes = 0;         ///< product + combine nodes the task-DAG
-                                 ///< executor ran (parallel driver only)
-  int dag_lanes = 0;             ///< scheduler lanes the pre-flight planner
-                                 ///< allotted (parallel driver only; lanes *
-                                 ///< gemm_threads never exceeds the budget)
+  // Always 0: every call runs the serial recursion, which has no scheduler
+  // lanes to count. Kept so that existing readers of the stats compile.
+  count_t steals = 0;
+  count_t dag_nodes = 0;
+  int dag_lanes = 0;
   const char* tuned_path = nullptr;  ///< schedule the tuned policy selected
                                      ///< (core::tuned_path_name; static
                                      ///< storage), null when the call did
@@ -128,10 +125,6 @@ struct DgefmmStats {
                                    ///< STRASSEN_HUGEPAGES switch is off or
                                    ///< the arena was caller-provided storage
                                    ///< advised elsewhere
-  count_t first_touch_pages = 0;   ///< workspace pages the parallel driver
-                                   ///< first-touched on their owning worker
-                                   ///< before the compute phase (parallel
-                                   ///< driver only)
   count_t pack_hits = 0;           ///< operand blocks streamed from a
                                    ///< prepacked handle or the per-call
                                    ///< panel cache instead of being packed
@@ -144,8 +137,8 @@ struct DgefmmStats {
 
   void reset() { *this = DgefmmStats{}; }
 
-  /// Accumulates another call's (or a parallel child task's) statistics
-  /// into this one: counters add, depth/peak fields take the maximum.
+  /// Accumulates another call's statistics into this one: counters add,
+  /// depth/peak fields take the maximum.
   void merge_from(const DgefmmStats& o) {
     strassen_levels += o.strassen_levels;
     base_gemms += o.base_gemms;
@@ -160,12 +153,8 @@ struct DgefmmStats {
     if (kernel == nullptr) kernel = o.kernel;
     if (o.gemm_threads > gemm_threads) gemm_threads = o.gemm_threads;
     if (o.pool_workers > pool_workers) pool_workers = o.pool_workers;
-    steals += o.steals;
-    dag_nodes += o.dag_nodes;
-    if (o.dag_lanes > dag_lanes) dag_lanes = o.dag_lanes;
     if (tuned_path == nullptr) tuned_path = o.tuned_path;
     if (o.hugepage_bytes > hugepage_bytes) hugepage_bytes = o.hugepage_bytes;
-    first_touch_pages += o.first_touch_pages;
     pack_hits += o.pack_hits;
     pack_misses += o.pack_misses;
   }

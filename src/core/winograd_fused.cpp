@@ -9,7 +9,6 @@
 #include "core/add_kernels.hpp"
 #include "core/peeling.hpp"
 #include "core/workspace.hpp"
-#include "support/faultinject.hpp"
 #include "support/opcount.hpp"
 #include "verify/proofs.hpp"
 
@@ -98,10 +97,6 @@ struct FusedRun {
   // pre-warmed every worker's pack scratch before entering the no-fail
   // region.
   blas::GemmBlocking bk{};
-  // Degraded mode (fallback failure policy, DESIGN.md section 7): workspace
-  // reservation failed, so every leaf must take the single fused
-  // packed-GEMM call, which draws nothing from the arena.
-  bool force_packed = false;
   // Per-call packed-panel cache (null: packing always fresh). Set only by
   // fmm_fused when every leaf is a packed product and the leaf n extent
   // spans multiple GEMM column strips -- the shape where the loop nest
@@ -139,7 +134,7 @@ void fused_leaf(FusedRun<T>& run, const Comb<T>& a, const Comb<T>& b,
   CtxT<T>& ctx = *run.ctx;
   const index_t ml = a.v[0].rows, kl = a.v[0].cols, nl = b.v[0].cols;
 
-  if (!run.force_packed && !ctx.cfg->cutoff.stop(ml, kl, nl, depth)) {
+  if (!ctx.cfg->cutoff.stop(ml, kl, nl, depth)) {
     ArenaScopeT scope(*ctx.arena);
     BasicView<T> ta = arena_matrix(*ctx.arena, ml, kl);
     materialize(a, ta);
@@ -412,47 +407,6 @@ void fmm_fused(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
   }
 }
 
-template <class T>
-void fused_product(const FusedOperandT<T>& a, const FusedOperandT<T>& b,
-                   BasicView<T> d, T g, T beta, CtxT<T>& ctx, int depth) {
-  assert(a.n >= 1 && b.n >= 1);
-  const index_t ml = a.v[0].rows, kl = a.v[0].cols, nl = b.v[0].cols;
-  const count_t need = fused_product_workspace(ml, kl, nl, *ctx.cfg, depth);
-  bool force_packed = false;
-  if (ctx.arena->in_use() == 0 &&
-      ctx.arena->capacity() < static_cast<std::size_t>(need)) {
-    try {
-      ctx.arena->reserve(static_cast<std::size_t>(need));
-    } catch (const std::exception&) {
-      if (ctx.cfg->on_failure == FailurePolicy::strict) throw;
-      // Graceful degradation: the single fused packed-GEMM call computes
-      // the same product through the pack buffers alone, so the leaf below
-      // skips the arena-backed recursion instead of failing.
-      force_packed = true;
-      if (ctx.stats != nullptr) ++ctx.stats->fallbacks;
-    }
-  }
-
-  // Acquisition is behind us; the computation below runs as a no-fail
-  // region, mirroring the serial driver (injected faults suspended, real
-  // arena overflow still reported as the sizing bug it would be).
-  faultinject::ScopedSuspend nofail;
-
-  FusedRun<T> run;
-  run.ctx = &ctx;
-  run.beta = beta;
-  run.bk = blas::blocking_for_t<T>(blas::active_machine());
-  run.force_packed = force_packed;
-
-  Comb<T> ca;
-  for (int i = 0; i < a.n; ++i) ca.add(a.v[i], a.g[i]);
-  Comb<T> cb;
-  for (int i = 0; i < b.n; ++i) cb.add(b.v[i], b.g[i]);
-  Dests<T> dc;
-  dc.add(d, g);
-  fused_leaf(run, ca, cb, dc, depth);
-}
-
 count_t fused_product_workspace(index_t m, index_t k, index_t n,
                                 const DgefmmConfig& cfg, int depth) {
   if (cfg.cutoff.stop(m, k, n, depth)) return 0;
@@ -461,22 +415,9 @@ count_t fused_product_workspace(index_t m, index_t k, index_t n,
          workspace_doubles_at(m, n, k, 0.0, cfg, depth);
 }
 
-count_t fused_product_workspace(index_t m, index_t k, index_t n,
-                                const SgefmmConfig& cfg, int depth) {
-  // Workspace is counted in elements, never bytes, so the float schedule's
-  // peak equals the double schedule's under the same sizing fields.
-  return fused_product_workspace(m, k, n, sizing_config(cfg), depth);
-}
-
 template void fmm_fused<double>(double, ConstView, ConstView, double, MutView,
                                 CtxT<double>&, int);
 template void fmm_fused<float>(float, ConstViewF, ConstViewF, float, MutViewF,
                                CtxT<float>&, int);
-template void fused_product<double>(const FusedOperandT<double>&,
-                                    const FusedOperandT<double>&, MutView,
-                                    double, double, CtxT<double>&, int);
-template void fused_product<float>(const FusedOperandT<float>&,
-                                   const FusedOperandT<float>&, MutViewF,
-                                   float, float, CtxT<float>&, int);
 
 }  // namespace strassen::core::detail

@@ -27,8 +27,6 @@
 // skeleton.
 #pragma once
 
-#include <cassert>
-
 #include "core/winograd.hpp"
 
 namespace strassen::core::detail {
@@ -45,52 +43,14 @@ extern template void fmm_fused<double>(double, ConstView, ConstView, double,
 extern template void fmm_fused<float>(float, ConstViewF, ConstViewF, float,
                                       MutViewF, CtxT<float>&, int);
 
-/// One gamma-weighted operand combination of a fused product: at most two
-/// terms at one level of fusion, four at two (the packed skeleton's
-/// 4-term bound, static_asserted in verify/proofs.hpp). The parallel task
-/// DAG builds depth-2 operands directly, so the capacity here is four.
-template <class T>
-struct FusedOperandT {
-  BasicView<const T> v[4];
-  T g[4];
-  int n = 0;
-
-  void add(BasicView<const T> view, T gamma) {
-    assert(n < 4);
-    v[n] = view;
-    g[n] = gamma;
-    ++n;
-  }
-};
-
-using FusedOperand = FusedOperandT<double>;
-using FusedOperandF = FusedOperandT<float>;
-
-/// Computes d <- g * (sum_i ga_i A_i)(sum_j gb_j B_j) + beta * d as one
-/// fused packed-GEMM call, or -- when the cutoff still wants recursion at
-/// these dimensions -- by materializing the combinations into ctx.arena and
-/// running the classic fmm below. This is the task granule the parallel
-/// top level schedules. The arena is grown on demand when unused.
-template <class T>
-void fused_product(const FusedOperandT<T>& a, const FusedOperandT<T>& b,
-                   BasicView<T> d, T g, T beta, CtxT<T>& ctx, int depth);
-
-extern template void fused_product<double>(const FusedOperandT<double>&,
-                                           const FusedOperandT<double>&,
-                                           MutView, double, double,
-                                           CtxT<double>&, int);
-extern template void fused_product<float>(const FusedOperandT<float>&,
-                                          const FusedOperandT<float>&,
-                                          MutViewF, float, float,
-                                          CtxT<float>&, int);
-
-/// Exact arena elements one fused_product call allocates at peak. The
-/// count is in elements of the configuration's precision (identical for
-/// both: the recursion allocates by shape, never by byte size).
+/// Exact arena elements one fused leaf product allocates at peak when the
+/// cutoff still wants recursion at its dimensions: the two materialized
+/// operand combinations, the product temporary, and the classic recursion
+/// below. The count is in elements of the configuration's precision
+/// (identical for both: the recursion allocates by shape, never by byte
+/// size).
 count_t fused_product_workspace(index_t m, index_t k, index_t n,
                                 const DgefmmConfig& cfg, int depth);
-count_t fused_product_workspace(index_t m, index_t k, index_t n,
-                                const SgefmmConfig& cfg, int depth);
 
 /// Exact arena elements the packed-panel cache slab of one fmm_fused call
 /// occupies (0 when the cache is off, the leaves recurse classically, or

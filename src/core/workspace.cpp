@@ -134,7 +134,7 @@ count_t workspace_doubles(index_t m, index_t n, index_t k, double beta,
     // peak of the schedule that actually runs. The GEMM route draws no
     // arena workspace at all.
     DgefmmConfig eff = user_cfg;
-    if (resolve_tuned<double>(m, k, n, beta, /*workers=*/1, eff) ==
+    if (resolve_tuned<double>(m, k, n, beta, eff) ==
         TunedPath::gemm) {
       return 0;
     }
@@ -175,7 +175,7 @@ count_t workspace_floats(index_t m, index_t n, index_t k, float beta,
     // double-counted recursion: each element type consults its own
     // crossovers (sizing_config does not forward use_tuned).
     SgefmmConfig eff = user_cfg;
-    if (resolve_tuned<float>(m, k, n, beta, /*workers=*/1, eff) ==
+    if (resolve_tuned<float>(m, k, n, beta, eff) ==
         TunedPath::gemm) {
       return 0;
     }
@@ -191,33 +191,6 @@ count_t workspace_floats(index_t m, index_t n, index_t k, float beta,
     elems += detail::fused_cache_elements<float>(m, k, n, cfg, 0);
   }
   return elems;
-}
-
-count_t parallel_workspace_doubles(index_t m, index_t n, index_t k,
-                                   const DgefmmConfig& cfg, int par_depth,
-                                   int lanes) {
-  // Mirrors parallel/task_dag.cpp exactly: the even core splits into a
-  // 2^par_depth grid (the planner only selects par_depth == 2 when the
-  // half-dimensions are still even), every product node of the 7^par_depth
-  // schedule owns one (mb x nb) temporary, and each scheduler lane owns one
-  // leaf sub-arena sized for the deepest fused_product it can run.
-  const int depth = std::clamp(par_depth, 1, 2);
-  const index_t mb = (m & ~index_t{1}) >> depth;
-  const index_t kb = (k & ~index_t{1}) >> depth;
-  const index_t nb = (n & ~index_t{1}) >> depth;
-  if (mb == 0 || kb == 0 || nb == 0) return 0;
-  const count_t products = depth == 2 ? 49 : 7;
-  const count_t lane_ws =
-      detail::fused_product_workspace(mb, kb, nb, cfg, depth);
-  return products * (static_cast<count_t>(mb) * nb) +
-         static_cast<count_t>(std::max(lanes, 1)) * lane_ws;
-}
-
-count_t parallel_workspace_floats(index_t m, index_t n, index_t k,
-                                  const SgefmmConfig& cfg, int par_depth,
-                                  int lanes) {
-  return parallel_workspace_doubles(m, n, k, sizing_config(cfg), par_depth,
-                                    lanes);
 }
 
 double bound_strassen1_beta0(index_t m, index_t k, index_t n) {

@@ -20,8 +20,6 @@
 #include "core/dgefmm.hpp"
 #include "core/sgefmm.hpp"
 #include "core/workspace.hpp"
-#include "parallel/parallel_strassen.hpp"
-#include "parallel/task_dag.hpp"
 #include "support/arena_pool.hpp"
 #include "support/errors.hpp"
 #include "support/stats.hpp"
@@ -55,9 +53,7 @@ namespace detail {
 template <class T>
 struct RequestStateT {
   GemmRequestT<T> req;
-  std::size_t need = 0;    // exact workspace price of the chosen path
-  bool use_dag = false;    // task-DAG driver vs. serial driver
-  parallel::DagPlan plan;  // pinned moldable plan (valid when use_dag)
+  std::size_t need = 0;  // exact workspace price of the run
   std::atomic<bool> cancel{false};
   Clock::time_point submitted_at{};
 
@@ -117,8 +113,8 @@ class QueueImplT {
       complete(st, RequestStatus::failed, bad, nullptr);
       return TicketT<T>(st);
     }
-    // 2. Exact workspace pricing of the path that will actually run.
-    plan_request(*st);
+    // 2. Exact workspace pricing of the run.
+    st->need = price(req);
     // 3. Budget feasibility: a need beyond the whole budget can never be
     // satisfied by waiting for leases to return.
     if (st->need > pool_.budget()) {
@@ -314,7 +310,7 @@ class QueueImplT {
   void complete_canceled(const std::shared_ptr<RequestStateT<T>>& st) {
     complete(st, RequestStatus::canceled, STRASSEN_INFO_CANCELED,
              std::make_exception_ptr(CanceledError(
-                 "request canceled before the first write to C")));
+                 "request canceled before it ran")));
   }
 
   // The load-shedding valve: one workspace-free plain GEMM over the whole
@@ -380,23 +376,9 @@ class QueueImplT {
     }
   }
 
-  // Decides the execution path exactly as the drivers will and prices its
-  // workspace with the exact predictors, so the carved lease is an
-  // exactly-sized borrowed arena the run cannot exceed. The DAG decision
-  // mirrors gefmm_parallel_t's serial fallback: degenerate shapes and
-  // cutoff-stopped problems run (and are priced as) the serial driver.
-  void plan_request(RequestStateT<T>& st) const {
-    const GemmRequestT<T>& r = st.req;
-    st.use_dag = r.prefer_parallel && r.m >= 2 && r.k >= 2 && r.n >= 2 &&
-                 r.alpha != T(0) && !r.cutoff.stop(r.m, r.k, r.n, 0);
-    if (st.use_dag) {
-      parallel::ParallelGefmmConfigT<T> cfg;
-      cfg.cutoff = r.cutoff;
-      cfg.scheme = r.scheme;
-      st.plan = parallel::plan_dag<T>(r.m, r.n, r.k, cfg);
-      st.need = static_cast<std::size_t>(st.plan.workspace);
-      return;
-    }
+  // Prices the run's workspace with the driver's exact predictor, so the
+  // carved lease is an exactly-sized borrowed arena the run cannot exceed.
+  static std::size_t price(const GemmRequestT<T>& r) {
     core::GefmmConfigT<T> cfg;
     cfg.cutoff = r.cutoff;
     cfg.scheme = r.scheme;
@@ -406,7 +388,7 @@ class QueueImplT {
     } else {
       need = core::workspace_doubles(r.m, r.n, r.k, r.beta, cfg);
     }
-    st.need = static_cast<std::size_t>(need);
+    return static_cast<std::size_t>(need);
   }
 
   void worker_loop() {
@@ -479,39 +461,11 @@ class QueueImplT {
   std::thread watchdog_;
 };
 
-// One admitted run: builds the driver configuration over the borrowed
-// lease arena and calls the vertical the admission pricing assumed. The
-// plan's moldable fields are pinned so the driver re-derives exactly the
-// priced reservation; the cancel token rides into the task DAG, which
-// checks it at every node boundary.
+// One admitted run: the drop-in driver over the borrowed lease arena, with
+// the configuration the admission pricing assumed.
 template <class T>
 int dispatch_request(const GemmRequestT<T>& req, ArenaT<T>& workspace,
-                     bool use_dag, const parallel::DagPlan& plan,
-                     core::DgefmmStats* run_stats,
-                     const std::atomic<bool>* cancel) {
-  if (use_dag) {
-    parallel::ParallelGefmmConfigT<T> cfg;
-    cfg.cutoff = req.cutoff;
-    cfg.scheme = req.scheme;
-    cfg.par_depth = plan.par_depth;
-    cfg.lanes = plan.lanes;
-    cfg.leaf_gemm_threads = plan.leaf_gemm_threads;
-    cfg.workspace = &workspace;
-    cfg.on_failure = req.on_failure;
-    cfg.stats = run_stats;
-    cfg.cancel = cancel;
-    if constexpr (std::is_same_v<T, float>) {
-      return parallel::sgefmm_parallel(req.transa, req.transb, req.m, req.n,
-                                       req.k, req.alpha, req.a, req.lda,
-                                       req.b, req.ldb, req.beta, req.c,
-                                       req.ldc, cfg);
-    } else {
-      return parallel::dgefmm_parallel(req.transa, req.transb, req.m, req.n,
-                                       req.k, req.alpha, req.a, req.lda,
-                                       req.b, req.ldb, req.beta, req.c,
-                                       req.ldc, cfg);
-    }
-  }
+                     core::DgefmmStats* run_stats) {
   core::GefmmConfigT<T> cfg;
   cfg.cutoff = req.cutoff;
   cfg.scheme = req.scheme;
@@ -587,17 +541,14 @@ void execute_request(QueueImplT<T>& q,
   core::DgefmmStats run_stats;
   int info = 0;
   try {
-    info = dispatch_request<T>(st->req, lease.arena(), st->use_dag, st->plan,
-                               &run_stats, &st->cancel);
+    info = dispatch_request<T>(st->req, lease.arena(), &run_stats);
   } catch (...) {
     lease.release();
     q.mem_cv_.notify_all();
     std::exception_ptr err = std::current_exception();
     const int code = QueueImplT<T>::info_of(err);
-    q.complete(st,
-               code == STRASSEN_INFO_CANCELED ? RequestStatus::canceled
-                                              : RequestStatus::failed,
-               code, std::move(err), /*degraded=*/false, &run_stats);
+    q.complete(st, RequestStatus::failed, code, std::move(err),
+               /*degraded=*/false, &run_stats);
     return;
   }
   lease.release();

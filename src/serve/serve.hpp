@@ -8,9 +8,9 @@
 // that front-end, built from guarantees the lower layers already prove:
 //
 //  * Admission control is *exact*, not heuristic. Every request's peak
-//    workspace is priced by the same predictors the drivers obey
-//    (core::workspace_doubles / parallel plan_dag().workspace and the float
-//    twins), and all serving workspace is carved from one budgeted
+//    workspace is priced by the same predictor the driver obeys
+//    (core::workspace_doubles and its float twin), and all serving
+//    workspace is carved from one budgeted
 //    ArenaPoolT (support/arena_pool.hpp) whose invariant
 //    in_use + cached <= budget holds under a single mutex. A request that
 //    can never fit the budget is rejected (or shed) up front; one that
@@ -24,13 +24,13 @@
 //    GEMM baseline on the submitting thread -- the PR 2 fallback path as a
 //    load-shedding valve, recorded in ServingStats::shed.
 //
-//  * Deadlines and cancellation are honored only while C is untouched. A
-//    request whose deadline passes while it is still queued completes
-//    exceptionally (DeadlineError) with C bit-identical; once running, it
-//    runs to completion. cancel() is cooperative: queued requests are
-//    swept by the watchdog, running task-DAG requests check the token at
-//    node boundaries and abort (CanceledError) only if the cancel wins the
-//    race against the first combine's write to C.
+//  * Deadlines and cancellation follow one rule: they are honored while the
+//    request is queued or waiting for its workspace lease, and a request
+//    that is running completes. A request whose deadline passes, or whose
+//    cancel() arrives, before it runs completes exceptionally
+//    (DeadlineError / CanceledError) with C bit-identical; the watchdog
+//    sweeps the queue, and a worker re-checks both at pickup and while it
+//    waits for memory.
 //
 //  * Every terminal outcome is a typed, queryable state on the ticket --
 //    never an exception on a serving thread -- and the queue keeps
@@ -89,7 +89,7 @@ enum class RequestStatus {
   rejected,   ///< refused at admission (queue full under `reject`, or the
               ///< exact workspace need exceeds the budget); C untouched
   expired,    ///< the deadline passed while still queued; C untouched
-  canceled,   ///< cancel() was honored before the first write to C
+  canceled,   ///< cancel() was honored before the request ran; C untouched
   failed,     ///< a bad argument (positive info) or a strict-policy typed
               ///< failure (negative info); C untouched either way
 };
@@ -145,9 +145,7 @@ struct GemmRequestT {
   T beta = T(0);
   T* c = nullptr;
   index_t ldc = 1;
-  /// Cutoff and schedule, as in GefmmConfigT. The cutoff also decides the
-  /// execution path: shapes it sends straight to GEMM run the serial
-  /// driver even when prefer_parallel is set.
+  /// Cutoff and schedule, as in GefmmConfigT.
   core::CutoffCriterion cutoff =
       core::CutoffCriterion::paper_default(blas::active_machine());
   core::Scheme scheme = core::Scheme::automatic;
@@ -158,9 +156,6 @@ struct GemmRequestT {
   /// shed. Admission outcomes (reject/expire/cancel) are independent of
   /// this knob.
   core::FailurePolicy on_failure = core::FailurePolicy::strict;
-  /// Use the task-DAG parallel driver when the shape supports recursion
-  /// (the admission predictor prices whichever path will actually run).
-  bool prefer_parallel = true;
   /// Steady-clock deadline; kNoDeadline disables it. Only enforced while
   /// the request is queued -- a request that started computing finishes.
   Clock::time_point deadline = kNoDeadline;
@@ -169,7 +164,7 @@ struct GemmRequestT {
   /// (and the source matrix it stamps) must outlive the ticket's terminal
   /// state. Consulted exactly as GefmmConfigT::packed_b -- only where the
   /// admitted run reduces to a single top-level packed GEMM, which is the
-  /// skinny-shape serving hot path; the task-DAG driver ignores it. The
+  /// skinny-shape serving hot path. The
   /// handle lives in caller memory, so admission pricing is unchanged: the
   /// streamed path draws no workspace, and a hard miss (kernel or source
   /// mismatch) re-packs fresh inside the same priced lease.
@@ -214,7 +209,7 @@ struct ServingStats {
   count_t shed = 0;       ///< degradations to the workspace-free GEMM
                           ///< (inline admission sheds + in-run fallbacks)
   count_t expired = 0;    ///< terminal expired while queued
-  count_t canceled = 0;   ///< terminal canceled before the first C write
+  count_t canceled = 0;   ///< terminal canceled before the run started
   count_t failed = 0;     ///< terminal failed (bad argument or strict error)
   std::size_t budget_elements = 0;  ///< pool budget (elements)
   std::size_t pool_in_use = 0;      ///< elements currently leased
@@ -257,10 +252,10 @@ class TicketT {
   /// True once the request reached a terminal state.
   bool done() const;
 
-  /// Requests cooperative cancellation. Honored only while C is untouched:
-  /// queued requests complete as canceled; a running task-DAG request
-  /// aborts at the next node boundary if no combine has written C yet;
-  /// otherwise the request completes normally. Idempotent, never blocks.
+  /// Requests cooperative cancellation. Honored while the request is
+  /// queued or waiting for its workspace lease: it completes as canceled
+  /// with C untouched. A running request completes normally. Idempotent,
+  /// never blocks.
   void cancel();
 
   /// Blocks until the terminal state and returns its info code: 0 success,

@@ -57,9 +57,9 @@ extern "C" {
 /// already-waited handle. Each handle can be waited exactly once.
 [[nodiscard]] int strassen_dgefmm_wait(std::int64_t handle);
 
-/// Requests cooperative cancellation: a queued request completes as
-/// canceled; a running one aborts only if the cancel wins the race against
-/// the first write to C, otherwise it completes normally. Returns 0 (the
+/// Requests cooperative cancellation: a request that has not started
+/// running completes as canceled; a running one completes normally.
+/// Returns 0 (the
 /// request to cancel was registered) or STRASSEN_INFO_BAD_HANDLE. The
 /// handle stays valid -- the outcome is observed via strassen_dgefmm_wait.
 int strassen_dgefmm_cancel(std::int64_t handle);

@@ -78,11 +78,10 @@ class ArenaT {
   explicit ArenaT(std::size_t capacity) : buf_(capacity) {}
 
   /// Creates an arena over caller-owned storage (borrowed, non-growing).
-  /// The parallel driver carves worker-local sub-arenas out of slices of
-  /// one up-front parent reservation this way: the slice's first touch
-  /// then happens on the executing worker (NUMA-friendly), and a
-  /// reserve() beyond the slice is a hard error rather than a silent
-  /// second acquisition. `storage` must outlive the arena.
+  /// The serving layer hands each admitted request such an arena over its
+  /// exactly-priced lease, so a reserve() beyond the slab is a hard error
+  /// rather than a silent second acquisition. `storage` must outlive the
+  /// arena.
   ArenaT(T* storage, std::size_t capacity)
       : ext_(storage), ext_size_(capacity) {}
 

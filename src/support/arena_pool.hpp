@@ -1,10 +1,10 @@
 // Budgeted arena pool for the serving front-end (src/serve).
 //
 // The serving queue admits a request only when its *exact* predicted
-// workspace (core::workspace_doubles / parallel_workspace_doubles and the
-// float twins) fits inside a configured element budget. This pool is the
-// accounting authority that makes the admission decision provable: it owns
-// every workspace byte the serving layer can hand out, and its invariant
+// workspace (core::workspace_doubles and its float twin) fits inside a
+// configured element budget. This pool is the accounting authority that
+// makes the admission decision provable: it owns every workspace byte the
+// serving layer can hand out, and its invariant
 //
 //     in_use() + cached() <= budget()          (at all times)
 //
@@ -15,8 +15,7 @@
 // turns OOM into a typed, recoverable outcome (DESIGN.md section 12).
 //
 // Carving: try_acquire(n) returns a PoolLeaseT holding an exactly-sized
-// aligned slab plus a borrowed ArenaT over it (the same borrowed-arena
-// mechanism the task-DAG driver uses for its lane sub-arenas). Released
+// aligned slab plus a borrowed ArenaT over it. Released
 // slabs are cached for reuse -- a mixed-shape request trace re-carves the
 // same few sizes constantly -- and the cache is evicted smallest-first
 // whenever its retained elements are needed for a new carve, so caching

@@ -54,9 +54,9 @@ class DeadlineError : public Error {
 };
 
 /// Thrown when a request was canceled cooperatively. The cancellation token
-/// is honored only while C is still untouched (queued requests, and
-/// task-DAG node boundaries before the first combine commits); once a
-/// computation has started writing C it runs to completion instead.
+/// is honored only before the request starts running (queued, or waiting
+/// for its workspace lease), so C is untouched; a running request
+/// completes instead.
 class CanceledError : public Error {
  public:
   explicit CanceledError(const std::string& what) : Error(what) {}

@@ -11,9 +11,8 @@
 // The switch is off by default (STRASSEN_HUGEPAGES=1 enables it; a Scoped
 // override serves the tests) because huge pages trade first-touch
 // granularity for TLB reach -- on NUMA machines a 2 MiB page lands
-// entirely on the node of whichever thread touches it first, so the
-// per-lane sub-arena carving in parallel/task_dag.cpp is the placement
-// that makes the trade safe. Advice is exactly that: a failed or
+// entirely on the node of whichever thread touches it first. Advice is
+// exactly that: a failed or
 // unsupported madvise degrades to normal pages and the library never
 // notices beyond the stats.
 #pragma once

@@ -10,11 +10,8 @@
 #include "blas/kernels.hpp"
 #include "core/dgefmm.hpp"
 #include "core/sgefmm.hpp"
-#include "parallel/parallel_strassen.hpp"
-#include "parallel/task_dag.hpp"
 #include "support/errors.hpp"
 #include "support/random.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timing.hpp"
 
 namespace strassen::tuning {
@@ -52,19 +49,6 @@ int gefmm_t(index_t m, index_t n, index_t k, T alpha, const T* a, index_t lda,
   } else {
     return core::dgefmm(Trans::no, Trans::no, m, n, k, alpha, a, lda, b, ldb,
                         beta, c, ldc, cfg);
-  }
-}
-
-template <class T>
-int gefmm_parallel_t(index_t m, index_t n, index_t k, T alpha, const T* a,
-                     index_t lda, const T* b, index_t ldb, T beta, T* c,
-                     index_t ldc, const parallel::ParallelGefmmConfigT<T>& cfg) {
-  if constexpr (std::is_same_v<T, float>) {
-    return parallel::sgefmm_parallel(Trans::no, Trans::no, m, n, k, alpha, a,
-                                     lda, b, ldb, beta, c, ldc, cfg);
-  } else {
-    return parallel::dgefmm_parallel(Trans::no, Trans::no, m, n, k, alpha, a,
-                                     lda, b, ldb, beta, c, ldc, cfg);
   }
 }
 
@@ -181,14 +165,6 @@ SchemePoint time_schemes(index_t s, const core::CutoffCriterion& cutoff,
   hybrid.workspace = &arena;
   s2cfg.workspace = &arena;
 
-  parallel::ParallelGefmmConfigT<T> pcfg;
-  pcfg.cutoff = cutoff;
-  pcfg.scheme = core::Scheme::fused;
-  pcfg.threads = opts.dag_threads;
-  const parallel::DagPlan plan = parallel::plan_dag(s, s, s, pcfg);
-  ArenaT<T> parena(static_cast<std::size_t>(plan.workspace));
-  pcfg.workspace = &parena;
-
   // Untimed warmup: first contact with the fresh matrices and the
   // persistent pack buffers (page faults, lazy kernel dispatch) must not
   // land inside the first timed schedule -- at reps == 1 it would bias
@@ -212,14 +188,6 @@ SchemePoint time_schemes(index_t s, const core::CutoffCriterion& cutoff,
   out.fused2 = time_min([&] { run(fused2); }, opts.reps);
   out.hybrid = time_min([&] { run(hybrid); }, opts.reps);
   out.s2 = time_min([&] { run(s2cfg); }, opts.reps);
-  out.dag = time_min(
-      [&] {
-        [[maybe_unused]] const int info =
-            gefmm_parallel_t<T>(s, s, s, alpha, a.data(), a.ld(), b.data(),
-                                b.ld(), beta, c.data(), c.ld(), pcfg);
-        assert(info == 0);
-      },
-      opts.reps);
   return out;
 }
 
@@ -272,12 +240,6 @@ TunedCriteria autotune_t(const AutotuneOptions& opts) {
   out.tau_fused2 = x.tau_fused2;
   out.tau_hybrid = x.tau_hybrid;
   out.tau_s2 = x.tau_s2;
-  out.tau_dag = x.tau_dag;
-  out.threads = opts.dag_threads != 0
-                    ? static_cast<int>(opts.dag_threads)
-                    : static_cast<int>(
-                          std::max<std::size_t>(parallel::global_pool().size(),
-                                                1));
   return out;
 }
 
@@ -286,7 +248,7 @@ TunedCriteria autotune_t(const AutotuneOptions& opts) {
 SchemeCrossovers reduce_scheme_sweep(const std::vector<SchemePoint>& sweep) {
   SchemeCrossovers out;
   if (sweep.empty()) return out;
-  // Five pairwise ratio sweeps, each "incumbent / challenger" so ratio > 1
+  // Four pairwise ratio sweeps, each "incumbent / challenger" so ratio > 1
   // means the challenger won at that size. The hybrid sweep compares the
   // best capped-fused schedule against the best classic recursion (automatic
   // hybrid OR forced STRASSEN2) -- comparing against the automatic hybrid
@@ -296,7 +258,6 @@ SchemeCrossovers reduce_scheme_sweep(const std::vector<SchemePoint>& sweep) {
   std::vector<SweepPoint> fused2_sweep;  // fused-L1 vs fused-L2
   std::vector<SweepPoint> hybrid_sweep;  // best fused vs best classic
   std::vector<SweepPoint> s2_sweep;      // automatic hybrid vs forced S2
-  std::vector<SweepPoint> dag_sweep;     // best serial vs DAG
   for (const SchemePoint& t : sweep) {
     const double best_fused = std::min(t.fused1, t.fused2);
     const double best_classic = std::min(t.hybrid, t.s2);
@@ -304,7 +265,6 @@ SchemeCrossovers reduce_scheme_sweep(const std::vector<SchemePoint>& sweep) {
     fused2_sweep.push_back({t.s, t.fused1 / t.fused2});
     hybrid_sweep.push_back({t.s, best_fused / best_classic});
     s2_sweep.push_back({t.s, t.hybrid / t.s2});
-    dag_sweep.push_back({t.s, std::min(best_fused, best_classic) / t.dag});
   }
   // tau_fused extrapolates past the sweep in Strassen's favour (the
   // asymptotics guarantee a crossover exists); the alternative-schedule
@@ -314,7 +274,6 @@ SchemeCrossovers reduce_scheme_sweep(const std::vector<SchemePoint>& sweep) {
   out.tau_fused2 = crossover_or_never(fused2_sweep);
   out.tau_hybrid = crossover_or_never(hybrid_sweep);
   out.tau_s2 = crossover_or_never(s2_sweep);
-  out.tau_dag = crossover_or_never(dag_sweep);
   // tau_s2 only means anything inside the classic regime (tuned_path_for
   // consults it after the tau_hybrid gate). Clamp it up to tau_hybrid when
   // STRASSEN2 already wins at the regime boundary, and drop it entirely
@@ -343,8 +302,6 @@ core::TunedPolicy policy_from_criteria(const TunedCriteria& criteria) {
   policy.tau_fused2 = criteria.tau_fused2;
   policy.tau_hybrid = criteria.tau_hybrid;
   policy.tau_s2 = criteria.tau_s2;
-  policy.tau_dag = criteria.tau_dag;
-  policy.threads = criteria.threads;
   std::snprintf(policy.kernel, sizeof(policy.kernel), "%s",
                 criteria.kernel.c_str());
   return policy;

@@ -4,19 +4,18 @@
 // The paper tunes one thing -- the eq.-15 hybrid cutoff (Section 4.2) --
 // because its code has one schedule. This library has five ways to run a
 // product (plain packed GEMM, fused Strassen at one or two levels, the
-// classic eq.-15 hybrid recursion, the task-DAG parallel schedule), and
-// each pairwise crossover is, like τ
-// itself, a property of the host's memory system and the active
-// micro-kernel (Huang et al., arXiv:1605.01078). The autotune pass sweeps
-// them all in one run:
+// classic eq.-15 hybrid recursion, forced STRASSEN2), and each pairwise
+// crossover is, like τ itself, a property of the host's memory system and
+// the active micro-kernel (Huang et al., arXiv:1605.01078). The autotune
+// pass sweeps them all in one run:
 //
 //   1. (optionally) the eq.-15 cutoffs, per beta case, via the existing
 //      crossover pipeline (tuning/crossover.hpp), in the element type
 //      under tune;
 //   2. a geometric size sweep timing GEMM vs fused-L1 vs fused-L2 vs the
-//      classic hybrid vs DAG, reduced to four scheme crossovers (tau_fused,
-//      tau_fused2, tau_hybrid, tau_dag) by the same sweep-midpoint logic
-//      the paper used for τ.
+//      classic hybrid vs STRASSEN2, reduced to four scheme crossovers
+//      (tau_fused, tau_fused2, tau_hybrid, tau_s2) by the same
+//      sweep-midpoint logic the paper used for τ.
 //
 // The result is a TunedCriteria stamped with kernel and element type. It
 // round-trips through tuning/persist.cpp, and install_criteria() publishes
@@ -42,10 +41,6 @@ struct AutotuneOptions {
   index_t max_size = 2048;
   int reps = 2;  ///< timing repetitions per (size, schedule); minimum kept
 
-  /// Thread budget the DAG schedule is measured with (0 = the pool size).
-  /// Recorded in TunedCriteria::threads.
-  std::size_t dag_threads = 0;
-
   /// Also tune the eq.-15 hybrid cutoffs (both beta cases) with these
   /// sweep options. When false -- the quick-autotune CI budget -- the
   /// cutoffs keep the paper defaults and only the scheme crossovers are
@@ -69,17 +64,15 @@ struct SchemePoint {
   double fused2 = 0;  ///< two fused levels
   double hybrid = 0;  ///< classic eq.-15 automatic hybrid recursion
   double s2 = 0;      ///< forced STRASSEN2 recursion
-  double dag = 0;     ///< task-DAG parallel schedule
 };
 
-/// The five thresholds of the tuned dispatch in equivalent orders (0 =
+/// The four thresholds of the tuned dispatch in equivalent orders (0 =
 /// that schedule never won in range).
 struct SchemeCrossovers {
   double tau_fused = 0;
   double tau_fused2 = 0;
   double tau_hybrid = 0;
   double tau_s2 = 0;
-  double tau_dag = 0;
 };
 
 /// Pure sweep-to-crossover reduction, separated from measurement so tests

@@ -63,8 +63,6 @@ void save_criteria(const TunedCriteria& criteria, std::ostream& os) {
   if (criteria.tau_hybrid > 0) os << "scheme.hybrid = " << criteria.tau_hybrid
                                   << "\n";
   if (criteria.tau_s2 > 0) os << "scheme.s2 = " << criteria.tau_s2 << "\n";
-  if (criteria.tau_dag > 0) os << "scheme.dag = " << criteria.tau_dag << "\n";
-  if (criteria.threads > 0) os << "threads = " << criteria.threads << "\n";
 }
 
 bool save_criteria_file(const TunedCriteria& criteria,
@@ -134,8 +132,6 @@ TunedCriteria load_criteria(std::istream& is) {
   out.tau_fused2 = get_value("scheme.fused2", 0);
   out.tau_hybrid = get_value("scheme.hybrid", 0);
   out.tau_s2 = get_value("scheme.s2", 0);
-  out.tau_dag = get_value("scheme.dag", 0);
-  out.threads = static_cast<int>(get_value("threads", 0));
   return out;
 }
 

@@ -42,16 +42,14 @@ struct TunedCriteria {
   /// These feed core::TunedPolicy: plain GEMM at or below tau_fused, two
   /// fused levels above tau_fused2, the classic eq.-15 hybrid recursion
   /// above tau_hybrid (forced STRASSEN2 instead of the automatic hybrid
-  /// above tau_s2 within that regime), the task-DAG above tau_dag. Files
-  /// written before a threshold existed load it as 0 -- the "never won"
-  /// sentinel -- so old files keep their old routing.
+  /// above tau_s2 within that regime). Files written before a threshold
+  /// existed load it as 0 -- the "never won" sentinel -- so old files keep
+  /// their old routing. Files from before the single parallel route carry
+  /// `scheme.dag` and `threads` keys; they load and those keys are ignored.
   double tau_fused = 0;
   double tau_fused2 = 0;
   double tau_hybrid = 0;
   double tau_s2 = 0;
-  double tau_dag = 0;
-  /// Pool size the DAG crossover was measured with (0 = not measured).
-  int threads = 0;
 
   /// The criterion appropriate for a call with this beta.
   const core::CutoffCriterion& select(double beta) const {

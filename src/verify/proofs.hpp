@@ -19,13 +19,9 @@
 //    level-2 table each compute C = alpha*A*B + beta*C over their block
 //    grids, use no temporaries at all, and respect the packed-GEMM
 //    skeleton's 4-term/4-destination bound.
-//  * Task DAG (schedule_dag.hpp, asserted there): the parallel executor's
-//    dependency graph is derived from these same tables, covers every
-//    c-term exactly once with the proved coefficient, and is acyclic.
 #pragma once
 
 #include "verify/pebble.hpp"
-#include "verify/schedule_dag.hpp"
 #include "verify/schedule_ir.hpp"
 #include "verify/symbolic.hpp"
 

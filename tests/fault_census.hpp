@@ -34,24 +34,22 @@ inline long serial_acquisitions(bool local_arena, bool workspace) {
   return 2 + (workspace ? 1 : 0);
 }
 
-/// One task-DAG call at `depth` (1 or 2) with `lanes` scheduler lanes on a
-/// pool of `workers`, in the steady state: reserve + buffer + probe of the
-/// single up-front reservation, one carve per product temporary (7^depth)
-/// and per lane sub-arena, and -- with more than one lane and nonzero lane
-/// workspace -- the first-touch pass, one pool task per worker.
-inline long dag_acquisitions(int depth, int lanes, bool lane_workspace,
-                             long workers) {
-  const long products = depth == 2 ? 49 : 7;
-  const long first_touch = (lanes > 1 && lane_workspace) ? workers : 0;
-  return 3 + products + lanes + first_touch;
+/// One admitted serve::Queue request: the lease carve allocates a fresh
+/// slab (one AlignedBuffer) unless the pool cache already holds one that
+/// fits or the priced need is zero; the driver then runs over the lease's
+/// borrowed arena, which already holds the prediction, so it only probes
+/// it (serial_acquisitions with a caller arena).
+inline long serve_acquisitions(bool fresh_slab) {
+  return (fresh_slab ? 1 : 0) + serial_acquisitions(/*local_arena=*/false,
+                                                    /*workspace=*/false);
 }
 
 /// What a cold call's pre-flight acquires on top of the steady-state
 /// count: the calling thread's three pack buffers (A block, shared A
 /// block, B block) and, when the call warms the pool workers, one pinned
-/// warm task per worker plus that worker's three buffers. The serial
-/// driver warms the workers when its top-level GEMM fans out
-/// (DgefmmStats::gemm_threads > 1); the DAG driver always does.
+/// warm task per worker plus that worker's three buffers. The driver
+/// warms the workers when its top-level GEMM fans out
+/// (DgefmmStats::gemm_threads > 1).
 inline long cold_scratch_acquisitions(bool warms_workers, long workers) {
   return 3 + (warms_workers ? 4 * workers : 0);
 }

@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "blas/gemm.hpp"
+#include "blas/packed_loop.hpp"
 #include "core/cabi.hpp"
 #include "core/dgefmm.hpp"
 #include "core/workspace.hpp"
 #include "fault_census.hpp"
-#include "parallel/parallel_strassen.hpp"
 #include "support/faultinject.hpp"
 #include "support/matrix.hpp"
 #include "support/memadvise.hpp"
@@ -291,6 +291,43 @@ void sweep_counted(const Problem& p, FailurePolicy policy, long acquisitions,
   }
 }
 
+// Counts one dgefmm call's acquisitions, steady and cold, checks both
+// against the closed forms in fault_census.hpp and sweeps every one of
+// them. `plan` receives a clean call's stats.
+void sweep_call(const Problem& p, const DgefmmConfig& cfg,
+                FailurePolicy policy, DgefmmStats* plan) {
+  const auto run = [&](Matrix& c, DgefmmStats* stats) {
+    DgefmmConfig call = cfg;
+    call.on_failure = policy;
+    call.stats = stats;
+    return core::dgefmm(Trans::no, Trans::no, p.m, p.n, p.k, p.alpha,
+                        p.a.data(), p.m, p.b.data(), p.k, p.beta, c.data(),
+                        p.m, call);
+  };
+  Matrix scratch(p.m, p.n);  // allocated outside the census
+  const auto clean_call = [&] {
+    copy(p.c0.view(), scratch.view());
+    ASSERT_EQ(run(scratch, nullptr), 0);
+  };
+  const long acquisitions = census::count_acquisitions(clean_call);
+  const long steady = census::serial_acquisitions(
+      /*local_arena=*/true,
+      core::workspace_doubles(p.m, p.n, p.k, p.beta, cfg) > 0);
+  EXPECT_EQ(acquisitions, steady);
+  sweep_counted(p, policy, acquisitions, /*cold=*/false, run);
+
+  // Whether the call's pre-flight warms the pool workers, read back from a
+  // clean call's stats.
+  copy(p.c0.view(), scratch.view());
+  ASSERT_EQ(run(scratch, plan), 0);
+  const long cold = census::count_cold_acquisitions(clean_call);
+  EXPECT_EQ(cold, steady + census::cold_scratch_acquisitions(
+                               plan->gemm_threads > 1,
+                               static_cast<long>(
+                                   parallel::global_pool().size())));
+  sweep_counted(p, policy, cold, /*cold=*/true, run);
+}
+
 // Serial sweeps run the paper's recursion depth (P = 1) by default, so the
 // small shapes still recurse; `pool_depth` keeps the host's pool-aware
 // depth instead.
@@ -306,81 +343,31 @@ void sweep_serial(index_t m, index_t n, index_t k, Scheme scheme, double beta,
   DgefmmConfig cfg;
   cfg.cutoff = CutoffCriterion::square_simple(16);
   cfg.scheme = scheme;
-  cfg.on_failure = policy;
-  const auto run = [&](Matrix& c, DgefmmStats* stats) {
-    DgefmmConfig call = cfg;
-    call.stats = stats;
-    return core::dgefmm(Trans::no, Trans::no, p.m, p.n, p.k, p.alpha,
-                        p.a.data(), p.m, p.b.data(), p.k, p.beta, c.data(),
-                        p.m, call);
-  };
-  Matrix scratch(p.m, p.n);  // allocated outside the census
-  const auto clean_call = [&] {
-    copy(p.c0.view(), scratch.view());
-    ASSERT_EQ(run(scratch, nullptr), 0);
-  };
-  const long acquisitions = census::count_acquisitions(clean_call);
-  const long steady = census::serial_acquisitions(
-      /*local_arena=*/true, core::workspace_doubles(m, n, k, beta, cfg) > 0);
-  EXPECT_EQ(acquisitions, steady);
-  sweep_counted(p, policy, acquisitions, /*cold=*/false, run);
-
-  // Whether the call's pre-flight warms the pool workers, read back from a
-  // clean call's stats.
   DgefmmStats plan;
-  copy(p.c0.view(), scratch.view());
-  ASSERT_EQ(run(scratch, &plan), 0);
-  const long cold = census::count_cold_acquisitions(clean_call);
-  EXPECT_EQ(cold, steady + census::cold_scratch_acquisitions(
-                               plan.gemm_threads > 1,
-                               static_cast<long>(
-                                   parallel::global_pool().size())));
-  sweep_counted(p, policy, cold, /*cold=*/true, run);
+  sweep_call(p, cfg, policy, &plan);
 }
 
+// Parallel sweeps pin the calling thread's gemm-thread setting to
+// `gemm_threads` (> 1) and the recursion to `depth` levels, so on any host
+// the packed GEMMs and quadrant passes of the swept call fan out over the
+// pool: every fallible acquisition, including the pool workers' warm-up,
+// must still fire before the first write to C.
 void sweep_parallel(index_t m, index_t n, index_t k, Scheme scheme,
                     double beta, FailurePolicy policy, std::uint64_t seed,
-                    int par_depth = 0, int lanes = 0) {
+                    int gemm_threads, int depth = 1) {
+  blas::ScopedGemmThreads fan(gemm_threads);
   SCOPED_TRACE(::testing::Message()
                << "parallel " << m << "x" << n << "x" << k << " scheme "
                << static_cast<int>(scheme) << " beta " << beta
-               << " par_depth " << par_depth << " lanes " << lanes);
+               << " gemm threads " << gemm_threads << " depth " << depth);
   const Problem p(m, n, k, 1.0, beta, seed);
-  parallel::ParallelDgefmmConfig cfg;
-  cfg.cutoff = CutoffCriterion::square_simple(16);
+  DgefmmConfig cfg;
+  cfg.cutoff = CutoffCriterion::fixed_depth(depth);
   cfg.scheme = scheme;
-  cfg.on_failure = policy;
-  cfg.par_depth = par_depth;
-  cfg.lanes = lanes;
-  const auto run = [&](Matrix& c, DgefmmStats* stats) {
-    parallel::ParallelDgefmmConfig call = cfg;
-    call.stats = stats;
-    return parallel::dgefmm_parallel(Trans::no, Trans::no, p.m, p.n, p.k,
-                                     p.alpha, p.a.data(), p.m, p.b.data(),
-                                     p.k, p.beta, c.data(), p.m, call);
-  };
-  Matrix scratch(p.m, p.n);  // allocated outside the census
-  const auto clean_call = [&] {
-    copy(p.c0.view(), scratch.view());
-    ASSERT_EQ(run(scratch, nullptr), 0);
-  };
-  const long acquisitions = census::count_acquisitions(clean_call);
-  // The plan that ran, read back from a clean call's stats.
   DgefmmStats plan;
-  copy(p.c0.view(), scratch.view());
-  ASSERT_EQ(run(scratch, &plan), 0);
-  ASSERT_TRUE(plan.dag_nodes == 11 || plan.dag_nodes == 65);
-  const long workers = static_cast<long>(parallel::global_pool_size());
-  const long steady = census::dag_acquisitions(
-      plan.dag_nodes == 65 ? 2 : 1, plan.dag_lanes,
-      plan.first_touch_pages > 0, workers);
-  EXPECT_EQ(acquisitions, steady);
-  sweep_counted(p, policy, acquisitions, /*cold=*/false, run);
-
-  const long cold = census::count_cold_acquisitions(clean_call);
-  EXPECT_EQ(cold, steady + census::cold_scratch_acquisitions(
-                               /*warms_workers=*/true, workers));
-  sweep_counted(p, policy, cold, /*cold=*/true, run);
+  sweep_call(p, cfg, policy, &plan);
+  EXPECT_EQ(plan.max_depth, depth);
+  EXPECT_EQ(plan.gemm_threads, gemm_threads) << "the call must fan out";
 }
 
 TEST_F(FaultInject, SerialSweepStrassen1Strict) {
@@ -435,81 +422,67 @@ TEST_F(FaultInject, SerialSweepPoolDepthFallback) {
 }
 
 TEST_F(FaultInject, ParallelSweepClassicStrict) {
-  sweep_parallel(64, 64, 64, Scheme::automatic, 1.3, FailurePolicy::strict,
-                 21);
+  sweep_parallel(256, 256, 256, Scheme::automatic, 1.3,
+                 FailurePolicy::strict, 21, /*gemm_threads=*/3);
 }
 
 TEST_F(FaultInject, ParallelSweepClassicFallback) {
-  sweep_parallel(64, 64, 64, Scheme::automatic, 1.3, FailurePolicy::fallback,
-                 21);
+  sweep_parallel(256, 256, 256, Scheme::automatic, 1.3,
+                 FailurePolicy::fallback, 21, /*gemm_threads=*/3);
 }
 
 TEST_F(FaultInject, ParallelSweepFusedStrict) {
-  sweep_parallel(66, 66, 66, Scheme::fused, 0.0, FailurePolicy::strict, 22);
+  sweep_parallel(258, 258, 258, Scheme::fused, 0.0, FailurePolicy::strict,
+                 22, /*gemm_threads=*/2);
 }
 
 TEST_F(FaultInject, ParallelSweepFusedFallback) {
-  sweep_parallel(66, 66, 66, Scheme::fused, 0.0, FailurePolicy::fallback, 22);
+  sweep_parallel(258, 258, 258, Scheme::fused, 0.0, FailurePolicy::fallback,
+                 22, /*gemm_threads=*/2);
 }
 
-// Depth-2 DAG (49 products / 16 combines): the acquisition set grows (the
-// single up-front reservation, the DAG bookkeeping, the per-lane
-// sub-arenas) but the contract is unchanged -- every site fires before the
-// first write to C. 72 quarters to 18, so depth 2 is feasible.
-TEST_F(FaultInject, ParallelSweepDagDepth2Strict) {
-  sweep_parallel(72, 72, 72, Scheme::automatic, 1.3, FailurePolicy::strict,
-                 24, /*par_depth=*/2);
+// Odd dimensions: the peel fix-ups run after the recursion, on the pool.
+TEST_F(FaultInject, ParallelSweepOddStrict) {
+  sweep_parallel(257, 255, 253, Scheme::automatic, 0.5,
+                 FailurePolicy::strict, 23, /*gemm_threads=*/3);
 }
 
-TEST_F(FaultInject, ParallelSweepDagDepth2Fallback) {
-  sweep_parallel(72, 72, 72, Scheme::automatic, 1.3, FailurePolicy::fallback,
-                 24, /*par_depth=*/2);
+TEST_F(FaultInject, ParallelSweepOddFallback) {
+  sweep_parallel(257, 255, 253, Scheme::automatic, 0.5,
+                 FailurePolicy::fallback, 23, /*gemm_threads=*/3);
 }
 
-TEST_F(FaultInject, ParallelSweepDagDepth2FusedStrict) {
-  sweep_parallel(72, 72, 72, Scheme::fused, 0.0, FailurePolicy::strict, 25,
-                 /*par_depth=*/2);
+// Two levels: 49 products, with every quadrant pass of both levels fanned
+// out; the acquisition set is still the serial one.
+TEST_F(FaultInject, ParallelSweepDepth2Strict) {
+  sweep_parallel(256, 256, 256, Scheme::automatic, 1.3,
+                 FailurePolicy::strict, 24, /*gemm_threads=*/4, 2);
 }
 
-TEST_F(FaultInject, ParallelSweepDagDepth2FusedFallback) {
-  sweep_parallel(72, 72, 72, Scheme::fused, 0.0, FailurePolicy::fallback, 25,
-                 /*par_depth=*/2);
+TEST_F(FaultInject, ParallelSweepDepth2Fallback) {
+  sweep_parallel(256, 256, 256, Scheme::automatic, 1.3,
+                 FailurePolicy::fallback, 24, /*gemm_threads=*/4, 2);
 }
 
-// Multi-lane first-touch: with lanes > 1 the driver fans a first-touch
-// pass over the pool workers (run_on_each_worker) before the no-fail
-// region -- one more acquisition whose pool-task entry the injector can
-// fail. The sweep proves it fires before the first write to C: strict
-// leaves C bit-identical, fallback completes with the degradation
-// recorded.
-TEST_F(FaultInject, ParallelSweepMultiLaneFirstTouchStrict) {
-  sweep_parallel(72, 72, 72, Scheme::fused, 0.0, FailurePolicy::strict, 26,
-                 /*par_depth=*/1, /*lanes=*/4);
+TEST_F(FaultInject, ParallelSweepDepth2FusedStrict) {
+  sweep_parallel(256, 256, 256, Scheme::fused, 0.0, FailurePolicy::strict,
+                 25, /*gemm_threads=*/4, 2);
 }
 
-TEST_F(FaultInject, ParallelSweepMultiLaneFirstTouchFallback) {
-  sweep_parallel(72, 72, 72, Scheme::fused, 0.0, FailurePolicy::fallback, 26,
-                 /*par_depth=*/1, /*lanes=*/4);
+TEST_F(FaultInject, ParallelSweepDepth2FusedFallback) {
+  sweep_parallel(256, 256, 256, Scheme::fused, 0.0, FailurePolicy::fallback,
+                 25, /*gemm_threads=*/4, 2);
 }
 
 // Huge-page advice rides on the same buffer allocations the injector
 // already fails (Site::buffer_alloc); with the switch on, the acquisition
-// set and the contract are unchanged.
+// set and the contract are unchanged, at the paper's depth and at the
+// host's pool-aware depth.
 TEST_F(FaultInject, SweepsUnchangedWithHugePagesOn) {
   ScopedHugePages hp(true);
   sweep_serial(64, 64, 64, Scheme::strassen1, 0.0, FailurePolicy::strict, 27);
-  sweep_parallel(72, 72, 72, Scheme::fused, 0.0, FailurePolicy::strict, 27,
-                 /*par_depth=*/1, /*lanes=*/4);
-}
-
-TEST_F(FaultInject, ParallelSweepOddStrict) {
-  sweep_parallel(65, 63, 61, Scheme::automatic, 0.5, FailurePolicy::strict,
-                 23);
-}
-
-TEST_F(FaultInject, ParallelSweepOddFallback) {
-  sweep_parallel(65, 63, 61, Scheme::automatic, 0.5, FailurePolicy::fallback,
-                 23);
+  sweep_serial(256, 256, 256, Scheme::fused, 0.0, FailurePolicy::strict, 27,
+               /*pool_depth=*/true);
 }
 
 // ---------------------------------------------------------------------------

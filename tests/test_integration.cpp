@@ -11,7 +11,7 @@
 #include "blas/gemm.hpp"
 #include "core/dgefmm.hpp"
 #include "eigen/isda.hpp"
-#include "parallel/parallel_strassen.hpp"
+#include "blas/packed_loop.hpp"
 #include "solver/lu.hpp"
 #include "support/matrix.hpp"
 #include "support/random.hpp"
@@ -141,18 +141,20 @@ TEST(Integration, ParallelAndSerialAgree) {
   fill(c1.view(), 0.0);
   fill(c2.view(), 0.0);
 
-  core::DgefmmConfig serial;
-  serial.cutoff = core::CutoffCriterion::square_simple(24);
+  // The same drop-in call with a serial packed loop and with the default
+  // pool fan-out: the partitions are static, so the bits agree.
+  core::DgefmmConfig cfg;
+  cfg.cutoff = core::CutoffCriterion::square_simple(24);
+  {
+    blas::ScopedGemmThreads serial(1);
+    ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.0, a.data(), n,
+                           b.data(), n, 0.0, c1.data(), n, cfg),
+              0);
+  }
   ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.0, a.data(), n,
-                         b.data(), n, 0.0, c1.data(), n, serial),
+                         b.data(), n, 0.0, c2.data(), n, cfg),
             0);
-  parallel::ParallelDgefmmConfig par;
-  par.cutoff = core::CutoffCriterion::square_simple(24);
-  ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.0,
-                                      a.data(), n, b.data(), n, 0.0,
-                                      c2.data(), n, par),
-            0);
-  EXPECT_LT(max_abs_diff(c1.view(), c2.view()), 1e-11);
+  EXPECT_EQ(max_abs_diff(c1.view(), c2.view()), 0.0);
 }
 
 }  // namespace

@@ -40,7 +40,6 @@
 #include "core/add_kernels.hpp"
 #include "core/dgefmm.hpp"
 #include "core/gemm_backend.hpp"
-#include "parallel/parallel_strassen.hpp"
 #include "support/errors.hpp"
 #include "support/faultinject.hpp"
 #include "support/matrix.hpp"
@@ -981,7 +980,7 @@ TEST_F(KernelWarm, WarmedFanOutComputeAllocatesNothing) {
 }
 
 TEST_F(KernelWarm, StrictPolicySweepWithFanOutLeavesCUntouched) {
-  // Outcome-based sweep through the parallel driver pre-flight: fail the
+  // Outcome-based sweep through the fanned-out driver pre-flight: fail the
   // Nth acquisition (any site) for every N until a run completes clean.
   // Strict policy means each faulted run throws with C byte-identical.
   const index_t m = 2100, n = 48, k = 48;
@@ -1027,9 +1026,9 @@ TEST_F(KernelWarm, StrictPolicySweepWithFanOutLeavesCUntouched) {
 
 // ---------------------------------------------------- composability
 
-// Product-level tasks (parallel_strassen) and intra-GEMM fan-out compose:
-// the same call is bitwise deterministic across gemm-thread settings and
-// numerically matches the reference.
+// The fused Strassen recursion and the intra-GEMM fan-out compose: the same
+// call is bitwise deterministic across gemm-thread settings and numerically
+// matches the reference.
 TEST(KernelMatrix, ParallelStrassenComposesWithIntraGemmFanOut) {
   const index_t m = 704, k = 160, n = 160;
   Rng rng(404);
@@ -1040,12 +1039,15 @@ TEST(KernelMatrix, ParallelStrassenComposesWithIntraGemmFanOut) {
   auto run = [&](int gemm_threads, Matrix& c) {
     copy(c0.view(), c.view());
     blas::ScopedGemmThreads fan(gemm_threads);
-    parallel::ParallelDgefmmConfig cfg;
+    core::DgefmmConfig cfg;
+    cfg.cutoff = core::CutoffCriterion::square_simple(32);
     cfg.scheme = core::Scheme::fused;
-    ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, m, n, k, 1.0,
-                                        a.data(), m, b.data(), k, 0.5,
-                                        c.data(), m, cfg),
+    core::DgefmmStats stats;
+    cfg.stats = &stats;
+    ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, m, n, k, 1.0, a.data(), m,
+                           b.data(), k, 0.5, c.data(), m, cfg),
               0);
+    EXPECT_GE(stats.fused_depth, 1) << "the call must take a fused level";
   };
   Matrix serial(m, n), fanned(m, n);
   run(1, serial);

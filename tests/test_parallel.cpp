@@ -1,48 +1,65 @@
-// Tests for the parallel extension: thread pool semantics, the
-// work-stealing DAG executor, the moldable pre-flight planner, and
-// numerical agreement (plus bitwise determinism) of the parallel GEMM /
-// parallel Strassen with the reference.
+// Tests for the parallel extension: the thread pool's allocation-free
+// batch path, and the drop-in dgefmm/sgefmm on the whole pool -- agreement
+// with the reference, bitwise determinism across gemm-thread settings and
+// concurrent callers, the memory-system knobs, and lazy pool construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <type_traits>
-#include <functional>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm.hpp"
-#include "blas/prefetch.hpp"
-#include "core/sgefmm.hpp"
-#include "core/dgefmm.hpp"
+#include "blas/machine.hpp"
 #include "blas/packed_loop.hpp"
+#include "blas/prefetch.hpp"
+#include "core/dgefmm.hpp"
+#include "core/sgefmm.hpp"
 #include "core/workspace.hpp"
-#include "parallel/parallel_gemm.hpp"
-#include "parallel/parallel_strassen.hpp"
-#include "parallel/task_dag.hpp"
-#include "support/thread_pool.hpp"
+#include "support/errors.hpp"
+#include "support/faultinject.hpp"
 #include "support/matrix.hpp"
 #include "support/memadvise.hpp"
 #include "support/random.hpp"
+#include "support/thread_pool.hpp"
 
 namespace strassen {
 namespace {
 
+// --- ThreadPool::run_batch_nofail --------------------------------------------
+
+// One raw task per slot: bumps a shared counter.
+struct CountTask {
+  std::atomic<int>* counter = nullptr;
+};
+
+void count_body(void* arg) {
+  static_cast<CountTask*>(arg)->counter->fetch_add(1);
+}
+
+void run_counting_batch(parallel::ThreadPool& pool, std::atomic<int>& counter,
+                        std::size_t n) {
+  std::vector<CountTask> args(n, CountTask{&counter});
+  std::vector<parallel::ThreadPool::RawTask> tasks(n);
+  for (std::size_t i = 0; i < n; ++i) tasks[i] = {&count_body, &args[i]};
+  pool.run_batch_nofail(tasks.data(), tasks.size());
+}
+
 TEST(ThreadPool, RunsAllTasks) {
   parallel::ThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&counter] { counter.fetch_add(1); });
-  }
-  pool.run_batch(std::move(tasks));
+  run_counting_batch(pool, counter, 100);
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -50,293 +67,313 @@ TEST(ThreadPool, SequentialBatches) {
   parallel::ThreadPool pool(2);
   std::atomic<int> counter{0};
   for (int batch = 0; batch < 5; ++batch) {
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 10; ++i) {
-      tasks.push_back([&counter] { counter.fetch_add(1); });
-    }
-    pool.run_batch(std::move(tasks));
+    run_counting_batch(pool, counter, 10);
     EXPECT_EQ(counter.load(), (batch + 1) * 10);
   }
 }
 
+// A task that fails to start (the pool_task fault site) surfaces as
+// TaskError once the batch drains, and the pool stays usable.
 TEST(ThreadPool, PropagatesTaskException) {
   parallel::ThreadPool pool(2);
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([] { throw std::runtime_error("boom"); });
-  tasks.push_back([] {});
-  EXPECT_THROW(pool.run_batch(std::move(tasks)), std::runtime_error);
-  // The pool must remain usable after an exception.
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> more;
-  more.push_back([&counter] { counter.fetch_add(1); });
-  pool.run_batch(std::move(more));
-  EXPECT_EQ(counter.load(), 1);
+  faultinject::arm(1, faultinject::Site::pool_task);
+  EXPECT_THROW(run_counting_batch(pool, counter, 2), TaskError);
+  faultinject::disarm();
+  EXPECT_EQ(counter.load(), 1) << "the other task still ran";
+  run_counting_batch(pool, counter, 1);
+  EXPECT_EQ(counter.load(), 2);
 }
 
 TEST(ThreadPool, EmptyBatchIsNoop) {
   parallel::ThreadPool pool(1);
-  EXPECT_NO_THROW(pool.run_batch({}));
+  EXPECT_NO_THROW(pool.run_batch_nofail(nullptr, 0));
 }
 
-// --- DagRun / run_dag unit tests -------------------------------------------
-
-// Shared state for hand-built DAG nodes: each body records the global order
-// index it executed at.
-struct DagProbe {
-  std::atomic<int> seq{0};
-  std::vector<int> order;  // one slot per node, written once
-  explicit DagProbe(std::size_t n) : order(n, -1) {}
+// Under the submitter's ScopedSuspend every task runs suspended too: an
+// armed countdown is neither consumed by the pool_task entry hook nor by
+// a fallible site the task body checks.
+struct ProbeTask {
+  std::atomic<int>* ran = nullptr;
+  std::atomic<int>* would_fail = nullptr;
 };
 
-struct DagProbeNode {
-  DagProbe* probe = nullptr;
-  int id = 0;
-};
-
-void probe_body(void* arg, std::size_t /*lane*/) {
-  auto* n = static_cast<DagProbeNode*>(arg);
-  n->probe->order[static_cast<std::size_t>(n->id)] =
-      n->probe->seq.fetch_add(1);
+void probe_body(void* arg) {
+  const ProbeTask* t = static_cast<const ProbeTask*>(arg);
+  if (faultinject::should_fail(faultinject::Site::buffer_alloc)) {
+    t->would_fail->fetch_add(1);
+  }
+  t->ran->fetch_add(1);
 }
 
-TEST(ThreadPoolDag, ExecutesAllNodesInDependencyOrder) {
+TEST(ThreadPool, NofailBatchCarriesTheCallersSuspend) {
   parallel::ThreadPool pool(3);
-  // Diamond over 8 nodes: 0 -> {1,2,3} -> {4,5} -> 6 -> 7.
-  const std::int32_t succ0[] = {1, 2, 3};
-  const std::int32_t succ_mid[] = {4, 5};
-  const std::int32_t succ_late[] = {6};
-  const std::int32_t succ6[] = {7};
-  DagProbe probe(8);
-  DagProbeNode bodies[8];
-  for (int i = 0; i < 8; ++i) bodies[i] = {&probe, i};
-  parallel::ThreadPool::DagNode nodes[8] = {
-      {&probe_body, &bodies[0], succ0, 3, 0},
-      {&probe_body, &bodies[1], succ_mid, 2, 1},
-      {&probe_body, &bodies[2], succ_mid, 2, 1},
-      {&probe_body, &bodies[3], succ_mid, 2, 1},
-      {&probe_body, &bodies[4], succ_late, 1, 3},
-      {&probe_body, &bodies[5], succ_late, 1, 3},
-      {&probe_body, &bodies[6], succ6, 1, 2},
-      {&probe_body, &bodies[7], nullptr, 0, 1},
-  };
-  parallel::DagRun run(nodes, 8, 3);
-  pool.run_dag(run);
-  for (int i = 0; i < 8; ++i) EXPECT_GE(probe.order[i], 0) << "node " << i;
-  for (int mid = 1; mid <= 3; ++mid) {
-    EXPECT_LT(probe.order[0], probe.order[mid]);
-    EXPECT_LT(probe.order[mid], probe.order[4]);
-    EXPECT_LT(probe.order[mid], probe.order[5]);
+  std::atomic<int> ran{0}, would_fail{0};
+  std::vector<ProbeTask> args(16, ProbeTask{&ran, &would_fail});
+  std::vector<parallel::ThreadPool::RawTask> tasks(args.size());
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    tasks[i] = {&probe_body, &args[i]};
   }
-  EXPECT_LT(probe.order[4], probe.order[6]);
-  EXPECT_LT(probe.order[5], probe.order[6]);
-  EXPECT_LT(probe.order[6], probe.order[7]);
-}
-
-TEST(ThreadPoolDag, SingleLaneRunsEverythingOnCaller) {
-  parallel::ThreadPool pool(2);
-  const std::int32_t succ[] = {1};
-  DagProbe probe(2);
-  DagProbeNode bodies[2] = {{&probe, 0}, {&probe, 1}};
-  parallel::ThreadPool::DagNode nodes[2] = {
-      {&probe_body, &bodies[0], succ, 1, 0},
-      {&probe_body, &bodies[1], nullptr, 0, 1},
-  };
-  parallel::DagRun run(nodes, 2, 1);
-  pool.run_dag(run);
-  EXPECT_EQ(probe.order[0], 0);
-  EXPECT_EQ(probe.order[1], 1);
-  EXPECT_EQ(run.steals(), 0);
-  EXPECT_LE(run.peak_active(), 1);
-}
-
-// Forces a steal: the root readies both children into lane 0's own deque;
-// child A then blocks until child B has started, which can only happen if
-// the second lane stole B.
-struct StealState {
-  std::atomic<bool> b_started{false};
-};
-
-void steal_root(void*, std::size_t) {}
-
-void steal_child_a(void* arg, std::size_t) {
-  auto* st = static_cast<StealState*>(arg);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (!st->b_started.load(std::memory_order_acquire) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
+  faultinject::arm(1);
+  {
+    faultinject::ScopedSuspend no_fail;
+    EXPECT_NO_THROW(pool.run_batch_nofail(tasks.data(), tasks.size()));
   }
+  EXPECT_TRUE(faultinject::armed()) << "no task consumed the countdown";
+  faultinject::disarm();
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(would_fail.load(), 0);
 }
 
-void steal_child_b(void* arg, std::size_t) {
-  static_cast<StealState*>(arg)->b_started.store(
-      true, std::memory_order_release);
-}
-
-TEST(ThreadPoolDag, IdleLaneStealsFromBusyLane) {
+// Several threads submitting at once each drain their own batches: no
+// batch is lost or run twice, whatever the interleaving.
+TEST(ThreadPool, ConcurrentSubmittersDrainTheirOwnBatches) {
   parallel::ThreadPool pool(2);
-  StealState st;
-  const std::int32_t succ[] = {1, 2};
-  // Successors are pushed to the finishing lane's deque in array order and
-  // popped LIFO, so the caller's lane runs node 2 (the waiter) first while
-  // node 1 (the flag-setter) sits at the steal end of the deque.
-  parallel::ThreadPool::DagNode nodes[3] = {
-      {&steal_root, nullptr, succ, 2, 0},
-      {&steal_child_b, &st, nullptr, 0, 1},
-      {&steal_child_a, &st, nullptr, 0, 1},
-  };
-  parallel::DagRun run(nodes, 3, 2);
-  pool.run_dag(run);
-  EXPECT_TRUE(st.b_started.load());
-  EXPECT_GE(run.steals(), 1);
-}
-
-TEST(ThreadPoolDag, PeakActiveBoundedByLanes) {
-  parallel::ThreadPool pool(4);
-  // 24 independent nodes, but only 2 lanes: the executor must never run
-  // more than two bodies at once regardless of pool width -- the property
-  // the moldable allotment relies on to prevent oversubscription.
-  DagProbe probe(24);
-  DagProbeNode bodies[24];
-  parallel::ThreadPool::DagNode nodes[24];
-  for (int i = 0; i < 24; ++i) {
-    bodies[i] = {&probe, i};
-    nodes[i] = {&probe_body, &bodies[i], nullptr, 0, 0};
-  }
-  parallel::DagRun run(nodes, 24, 2);
-  pool.run_dag(run);
-  for (int i = 0; i < 24; ++i) EXPECT_GE(probe.order[i], 0);
-  EXPECT_LE(run.peak_active(), 2);
-}
-
-void throwing_body(void*, std::size_t) {
-  throw std::runtime_error("dag node boom");
-}
-
-TEST(ThreadPoolDag, PropagatesNodeExceptionAndStaysUsable) {
-  parallel::ThreadPool pool(2);
-  DagProbe probe(1);
-  DagProbeNode tail{&probe, 0};
-  const std::int32_t succ[] = {1};
-  parallel::ThreadPool::DagNode nodes[2] = {
-      {&throwing_body, nullptr, succ, 1, 0},
-      {&probe_body, &tail, nullptr, 0, 1},
-  };
-  parallel::DagRun run(nodes, 2, 2);
-  EXPECT_THROW(pool.run_dag(run), std::runtime_error);
-  // The failed node's successor was abandoned, not executed.
-  EXPECT_EQ(probe.order[0], -1);
-  // The pool must remain usable after a failed run.
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> more;
-  more.push_back([&counter] { counter.fetch_add(1); });
-  pool.run_batch(std::move(more));
-  EXPECT_EQ(counter.load(), 1);
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < 4; ++s) {
+    submitters.emplace_back([&] {
+      for (int batch = 0; batch < 50; ++batch) {
+        run_counting_batch(pool, counter, 10);
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  EXPECT_EQ(counter.load(), 4 * 50 * 10);
 }
 
-// --- Moldable planner ------------------------------------------------------
+// --- run_ranges_nofail ---------------------------------------------------------
 
-// Clears the scheduler environment knobs for the duration of a test so the
-// automatic resolution paths are exercised regardless of the ctest matrix's
-// environment, restoring them afterwards.
-class ScopedClearPlanEnv {
- public:
-  ScopedClearPlanEnv() {
-    save("STRASSEN_PAR_DEPTH", depth_);
-    save("STRASSEN_PAR_LANES", lanes_);
-    unsetenv("STRASSEN_PAR_DEPTH");
-    unsetenv("STRASSEN_PAR_LANES");
-  }
-  ~ScopedClearPlanEnv() {
-    restore("STRASSEN_PAR_DEPTH", depth_);
-    restore("STRASSEN_PAR_LANES", lanes_);
-  }
-
- private:
-  static void save(const char* name, std::string& slot) {
-    const char* v = std::getenv(name);
-    slot = v != nullptr ? v : "";
-  }
-  static void restore(const char* name, const std::string& v) {
-    if (!v.empty()) setenv(name, v.c_str(), 1);
-  }
-  std::string depth_, lanes_;
-};
-
-TEST(DagPlan, AllotmentNeverOversubscribesBudget) {
-  ScopedClearPlanEnv clear_env;
-  for (int budget = 1; budget <= 16; ++budget) {
-    parallel::ParallelDgefmmConfig cfg;
-    cfg.threads = static_cast<std::size_t>(budget);
-    const parallel::DagPlan plan = parallel::plan_dag(256, 256, 256, cfg);
-    EXPECT_GE(plan.lanes, 1);
-    EXPECT_LE(plan.lanes, plan.products);
-    EXPECT_GE(plan.leaf_gemm_threads, 1);
-    EXPECT_LE(plan.lanes * plan.leaf_gemm_threads, budget > 0 ? budget : 1)
-        << "budget " << budget;
+TEST(ThreadPool, RunRangesCoversEveryUnitOnce) {
+  parallel::ThreadPool pool(3);
+  for (const int parts : {1, 2, 3, 7, parallel::kMaxRanges,
+                          parallel::kMaxRanges + 5}) {
+    for (const std::int64_t units : {0, 1, 5, 64, 1001}) {
+      SCOPED_TRACE(::testing::Message() << "parts " << parts << " units "
+                                        << units);
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(units));
+      auto body = [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          hits[static_cast<std::size_t>(i)].fetch_add(1);
+        }
+      };
+      parallel::run_ranges_nofail(pool, units, 4, parts, body);
+      for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+    }
   }
 }
 
-TEST(DagPlan, DepthWidensWithBudgetAndRespectsFeasibility) {
-  ScopedClearPlanEnv clear_env;
-  parallel::ParallelDgefmmConfig cfg;
-  cfg.threads = 4;
-  EXPECT_EQ(parallel::plan_dag(256, 256, 256, cfg).par_depth, 1);
-  cfg.threads = 14;
-  const parallel::DagPlan wide = parallel::plan_dag(256, 256, 256, cfg);
-  EXPECT_EQ(wide.par_depth, 2);
-  EXPECT_EQ(wide.products, 49);
-  EXPECT_EQ(wide.combines, 16);
-  // 258 halves to 129 (odd): depth 2 is infeasible even when requested.
-  cfg.par_depth = 2;
-  EXPECT_EQ(parallel::plan_dag(258, 258, 258, cfg).par_depth, 1);
+// The split depends on (units, grain, parts) alone: every range starts on
+// a whole grain, sizes differ by at most one grain (the last range may end
+// short at `units`), and a one-worker pool gets the same ranges as a
+// four-worker one.
+TEST(ThreadPool, RunRangesSplitIsWholeGrainsAndIndependentOfThePool) {
+  using Ranges = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  const auto split = [](parallel::ThreadPool& pool, std::int64_t units,
+                        std::int64_t grain, int parts) {
+    std::mutex mu;
+    Ranges out;
+    auto body = [&](std::int64_t lo, std::int64_t hi) {
+      std::lock_guard<std::mutex> lock(mu);
+      out.emplace_back(lo, hi);
+    };
+    parallel::run_ranges_nofail(pool, units, grain, parts, body);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  parallel::ThreadPool one(1), four(4);
+  const std::int64_t grain = 8;
+  for (const std::int64_t units : {7, 64, 333, 4096}) {
+    for (const int parts : {2, 3, 5}) {
+      SCOPED_TRACE(::testing::Message() << "units " << units << " parts "
+                                        << parts);
+      const Ranges r = split(one, units, grain, parts);
+      EXPECT_EQ(r, split(four, units, grain, parts));
+      const std::int64_t grains = (units + grain - 1) / grain;
+      EXPECT_EQ(static_cast<std::int64_t>(r.size()),
+                std::min<std::int64_t>(parts, grains));
+      std::int64_t smallest = units, largest = 0;
+      for (std::size_t i = 0; i < r.size(); ++i) {
+        EXPECT_EQ(r[i].first % grain, 0);
+        EXPECT_EQ(r[i].first, i == 0 ? 0 : r[i - 1].second);
+        EXPECT_LT(r[i].first, r[i].second);
+        if (r[i].second != units) {
+          EXPECT_EQ(r[i].second % grain, 0);
+          smallest = std::min(smallest, r[i].second - r[i].first);
+        }
+        largest = std::max(largest, r[i].second - r[i].first);
+      }
+      ASSERT_FALSE(r.empty());
+      EXPECT_EQ(r.back().second, units);
+      if (smallest < units) {
+        EXPECT_LE(largest - smallest, grain);
+      }
+    }
+  }
 }
 
-TEST(DagPlan, WorkspaceMatchesPredictor) {
-  parallel::ParallelDgefmmConfig cfg;
-  cfg.threads = 4;
-  cfg.par_depth = 2;
-  cfg.lanes = 3;
-  cfg.cutoff = core::CutoffCriterion::square_simple(24);
-  const parallel::DagPlan plan = parallel::plan_dag(160, 160, 160, cfg);
-  core::DgefmmConfig child;
-  child.cutoff = cfg.cutoff;
-  child.scheme = cfg.scheme;
-  EXPECT_EQ(plan.workspace,
-            core::parallel_workspace_doubles(160, 160, 160, child, 2, 3));
-  EXPECT_GT(plan.workspace, 0);
+// --- run_on_each_worker -------------------------------------------------------
+
+TEST(ThreadPool, RunOnEachWorkerVisitsEveryWorkerOnce) {
+  parallel::ThreadPool pool(3);
+  EXPECT_FALSE(pool.on_worker_thread());
+  std::mutex mu;
+  std::vector<std::size_t> indices;
+  std::vector<std::thread::id> ids;
+  std::atomic<int> on_worker{0};
+  pool.run_on_each_worker([&](std::size_t index) {
+    if (pool.on_worker_thread() && parallel::on_pool_worker()) {
+      on_worker.fetch_add(1);
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    indices.push_back(index);
+    ids.push_back(std::this_thread::get_id());
+  });
+  std::sort(indices.begin(), indices.end());
+  EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(on_worker.load(), 3);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end())
+      << "each invocation runs on its own worker thread";
+  EXPECT_EQ(std::find(ids.begin(), ids.end(), std::this_thread::get_id()),
+            ids.end())
+      << "never on the caller";
+}
+
+// An exception from one worker's invocation is rethrown after every worker
+// has finished, and the pool stays usable.
+TEST(ThreadPool, RunOnEachWorkerRethrowsAfterAllFinishAndStaysUsable) {
+  parallel::ThreadPool pool(3);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.run_on_each_worker([&](std::size_t index) {
+                 finished.fetch_add(1);
+                 if (index == 1) throw std::runtime_error("worker 1");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+  std::atomic<int> counter{0};
+  pool.run_on_each_worker([&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 3);
+  run_counting_batch(pool, counter, 5);
+  EXPECT_EQ(counter.load(), 8);
+}
+
+// Callers of run_on_each_worker on one pool are serialized: each call
+// still visits every worker exactly once.
+TEST(ThreadPool, RunOnEachWorkerSerializesConcurrentCallers) {
+  parallel::ThreadPool pool(3);
+  std::atomic<int> visits[2][3] = {};
+  std::vector<std::thread> callers;
+  for (int caller = 0; caller < 2; ++caller) {
+    callers.emplace_back([&, caller] {
+      for (int rep = 0; rep < 20; ++rep) {
+        pool.run_on_each_worker(
+            [&](std::size_t index) { visits[caller][index].fetch_add(1); });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int caller = 0; caller < 2; ++caller) {
+    for (int index = 0; index < 3; ++index) {
+      EXPECT_EQ(visits[caller][index].load(), 20)
+          << "caller " << caller << " worker " << index;
+    }
+  }
+}
+
+// --- blas::dgemm / sgemm on the pool -------------------------------------------
+
+// The gemm-thread settings the tests below sweep: serial, two, an odd
+// width whose partitions all end in a remainder task, and the ambient
+// default (-1: no override, so scripts/check.sh's STRASSEN_GEMM_THREADS
+// sweep reaches it too).
+constexpr int kGemmThreadSettings[] = {1, 2, 3, -1};
+
+std::string gemm_threads_label(int threads) {
+  return threads < 0 ? std::string("default") : std::to_string(threads);
+}
+
+// Runs blas::dgemm (or sgemm) on op(A) op(B) at every gemm-thread setting:
+// each result must match the reference and be bitwise the serial one.
+template <class T>
+void gemm_matches_reference_at_every_setting(Trans ta, Trans tb, index_t m,
+                                             index_t n, index_t k,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  const index_t a_rows = is_trans(ta) ? k : m;
+  const index_t a_cols = is_trans(ta) ? m : k;
+  const index_t b_rows = is_trans(tb) ? n : k;
+  const index_t b_cols = is_trans(tb) ? k : n;
+  MatrixT<T> a, b, c0;
+  if constexpr (std::is_same_v<T, float>) {
+    a = random_matrix_f(a_rows, a_cols, rng);
+    b = random_matrix_f(b_rows, b_cols, rng);
+    c0 = random_matrix_f(m, n, rng);
+  } else {
+    a = random_matrix(a_rows, a_cols, rng);
+    b = random_matrix(b_rows, b_cols, rng);
+    c0 = random_matrix(m, n, rng);
+  }
+  const T alpha = T(1.5), beta = T(0.5);
+  const auto run = [&](int threads, MatrixT<T>& c) {
+    std::optional<blas::ScopedGemmThreads> width;
+    if (threads > 0) width.emplace(threads);
+    copy(c0.view(), c.view());
+    if constexpr (std::is_same_v<T, float>) {
+      blas::sgemm(ta, tb, m, n, k, alpha, a.data(), a.ld(), b.data(), b.ld(),
+                  beta, c.data(), c.ld());
+    } else {
+      blas::dgemm(ta, tb, m, n, k, alpha, a.data(), a.ld(), b.data(), b.ld(),
+                  beta, c.data(), c.ld());
+    }
+  };
+  {
+    blas::ScopedGemmThreads three(3);
+    EXPECT_GT(blas::packed_gemm_threads<T>(
+                  blas::blocking_for_t<T>(blas::active_machine()), m, n, k),
+              1)
+        << "the shape must fan out";
+  }
+  MatrixT<T> ref(m, n);
+  copy(c0.view(), ref.view());
+  blas::gemm_reference(ta, tb, m, n, k, alpha, a.data(), a.ld(), b.data(),
+                       b.ld(), beta, ref.data(), ref.ld());
+  const double tol = (std::is_same_v<T, float> ? 1e-5 : 1e-13) *
+                     (static_cast<double>(k) + 10.0);
+  MatrixT<T> serial(m, n);
+  run(1, serial);
+  const std::size_t bytes =
+      sizeof(T) * static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+  for (const int threads : kGemmThreadSettings) {
+    SCOPED_TRACE("gemm threads " + gemm_threads_label(threads));
+    MatrixT<T> c(m, n);
+    run(threads, c);
+    EXPECT_LT(max_abs_diff(c.view(), ref.view()), tol);
+    EXPECT_EQ(std::memcmp(c.data(), serial.data(), bytes), 0);
+  }
 }
 
 TEST(ParallelGemm, MatchesReference) {
-  Rng rng(31);
-  const index_t m = 90, n = 257, k = 70;
-  Matrix a = random_matrix(m, k, rng);
-  Matrix b = random_matrix(k, n, rng);
-  Matrix c = random_matrix(m, n, rng);
-  Matrix c_ref(m, n);
-  copy(c.view(), c_ref.view());
-  parallel::dgemm_parallel(Trans::no, Trans::no, m, n, k, 1.5, a.data(), m,
-                           b.data(), k, 0.5, c.data(), m, 4);
-  blas::gemm_reference(Trans::no, Trans::no, m, n, k, 1.5, a.data(), m,
-                       b.data(), k, 0.5, c_ref.data(), m);
-  EXPECT_LT(max_abs_diff(c.view(), c_ref.view()), 1e-11);
+  gemm_matches_reference_at_every_setting<double>(Trans::no, Trans::no, 90,
+                                                  257, 300, 31);
 }
 
 TEST(ParallelGemm, TransposedOperands) {
-  Rng rng(32);
-  const index_t m = 64, n = 128, k = 80;
-  Matrix a = random_matrix(k, m, rng);
-  Matrix b = random_matrix(n, k, rng);
-  Matrix c(m, n), c_ref(m, n);
-  fill(c.view(), 0.0);
-  fill(c_ref.view(), 0.0);
-  parallel::dgemm_parallel(Trans::transpose, Trans::transpose, m, n, k, 1.0,
-                           a.data(), k, b.data(), n, 0.0, c.data(), m, 3);
-  blas::gemm_reference(Trans::transpose, Trans::transpose, m, n, k, 1.0,
-                       a.data(), k, b.data(), n, 0.0, c_ref.data(), m);
-  EXPECT_LT(max_abs_diff(c.view(), c_ref.view()), 1e-11);
+  gemm_matches_reference_at_every_setting<double>(
+      Trans::transpose, Trans::transpose, 64, 260, 280, 32);
+  gemm_matches_reference_at_every_setting<double>(
+      Trans::transpose, Trans::no, 200, 130, 150, 34);
+  gemm_matches_reference_at_every_setting<double>(
+      Trans::no, Trans::transpose, 130, 200, 150, 35);
 }
 
+TEST(ParallelGemm, SgemmMatchesReference) {
+  gemm_matches_reference_at_every_setting<float>(Trans::no, Trans::transpose,
+                                                 90, 257, 300, 36);
+}
+
+// A product too small to split runs the serial loop nest whatever the
+// setting, so it gives the serial bits.
 TEST(ParallelGemm, SmallProblemFallsBackToSerial) {
   Rng rng(33);
   const index_t m = 8, n = 8, k = 8;
@@ -345,31 +382,110 @@ TEST(ParallelGemm, SmallProblemFallsBackToSerial) {
   Matrix c(m, n), c_ref(m, n);
   fill(c.view(), 0.0);
   fill(c_ref.view(), 0.0);
-  parallel::dgemm_parallel(Trans::no, Trans::no, m, n, k, 1.0, a.data(), m,
-                           b.data(), k, 0.0, c.data(), m);
-  blas::dgemm(Trans::no, Trans::no, m, n, k, 1.0, a.data(), m, b.data(), k,
-              0.0, c_ref.data(), m);
+  {
+    blas::ScopedGemmThreads four(4);
+    EXPECT_EQ(blas::packed_gemm_threads(
+                  blas::blocking_for_t<double>(blas::active_machine()), m, n,
+                  k),
+              1);
+    blas::dgemm(Trans::no, Trans::no, m, n, k, 1.0, a.data(), m, b.data(), k,
+                0.0, c.data(), m);
+  }
+  {
+    blas::ScopedGemmThreads one(1);
+    blas::dgemm(Trans::no, Trans::no, m, n, k, 1.0, a.data(), m, b.data(), k,
+                0.0, c_ref.data(), m);
+  }
   EXPECT_EQ(max_abs_diff(c.view(), c_ref.view()), 0.0);
 }
 
-class ParallelStrassenCases : public ::testing::TestWithParam<int> {};
+// Empty products at a fan-out setting: m or n = 0 leaves C alone, and
+// k = 0 or alpha = 0 only scales C by beta.
+TEST(ParallelGemm, EmptyProductsOnlyScaleC) {
+  blas::ScopedGemmThreads four(4);
+  const index_t m = 64, n = 300;
+  Rng rng(38);
+  const Matrix a = random_matrix(m, 200, rng);
+  const Matrix b = random_matrix(200, n, rng);
+  const Matrix c0 = random_matrix(m, n, rng);
+  Matrix c(m, n), want(m, n);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < m; ++i) want(i, j) = 0.5 * c0(i, j);
+  }
+  copy(c0.view(), c.view());
+  blas::dgemm(Trans::no, Trans::no, 0, n, 200, 1.0, a.data(), m, b.data(),
+              200, 0.5, c.data(), m);
+  blas::dgemm(Trans::no, Trans::no, m, 0, 200, 1.0, a.data(), m, b.data(),
+              200, 0.5, c.data(), m);
+  EXPECT_EQ(max_abs_diff(c.view(), c0.view()), 0.0);
+  blas::dgemm(Trans::no, Trans::no, m, n, 0, 1.0, a.data(), m, b.data(), 1,
+              0.5, c.data(), m);
+  EXPECT_EQ(max_abs_diff(c.view(), want.view()), 0.0);
+  copy(c0.view(), c.view());
+  blas::dgemm(Trans::no, Trans::no, m, n, 200, 0.0, a.data(), m, b.data(),
+              200, 0.5, c.data(), m);
+  EXPECT_EQ(max_abs_diff(c.view(), want.view()), 0.0);
+}
 
-TEST_P(ParallelStrassenCases, MatchesReference) {
-  struct Case {
-    index_t m, n, k;
-    Trans ta, tb;
-    double alpha, beta;
-  };
-  const std::vector<Case> cases = {
-      {128, 128, 128, Trans::no, Trans::no, 1.0, 0.0},
-      {129, 127, 125, Trans::no, Trans::no, 1.0, 0.0},
-      {120, 140, 100, Trans::no, Trans::no, 2.0, -0.5},
-      {96, 96, 96, Trans::transpose, Trans::no, 1.0, 1.0},
-      {101, 99, 97, Trans::transpose, Trans::transpose, -1.0, 0.25},
-      {16, 16, 16, Trans::no, Trans::no, 1.0, 0.0},  // serial fallback
-  };
-  const Case cs = cases[static_cast<std::size_t>(GetParam())];
-  Rng rng(100 + static_cast<std::uint64_t>(GetParam()));
+// Threads that call dgemm at once share the global pool; each still gets
+// the serial bits.
+TEST(ParallelGemm, ConcurrentCallersMatchSerialBitwise) {
+  const index_t m = 160, n = 200, k = 180;
+  Rng rng(37);
+  const Matrix a = random_matrix(m, k, rng);
+  const Matrix b = random_matrix(k, n, rng);
+  Matrix serial(m, n);
+  fill(serial.view(), 0.0);
+  {
+    blas::ScopedGemmThreads one(1);
+    blas::dgemm(Trans::no, Trans::no, m, n, k, 1.0, a.data(), m, b.data(), k,
+                0.0, serial.data(), m);
+  }
+  std::vector<Matrix> out;
+  for (int t = 0; t < 3; ++t) out.emplace_back(m, n);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 3; ++t) {
+    callers.emplace_back([&, t] {
+      blas::ScopedGemmThreads fan(t + 2);
+      Matrix& c = out[static_cast<std::size_t>(t)];
+      fill(c.view(), 0.0);
+      for (int rep = 0; rep < 3; ++rep) {
+        blas::dgemm(Trans::no, Trans::no, m, n, k, 1.0, a.data(), m,
+                    b.data(), k, 0.0, c.data(), m);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(m) *
+                            static_cast<std::size_t>(n);
+  for (const Matrix& c : out) {
+    EXPECT_EQ(std::memcmp(c.data(), serial.data(), bytes), 0);
+  }
+}
+
+// --- the drop-in on the pool against the reference ---------------------------
+
+struct Case {
+  index_t m, n, k;
+  Trans ta, tb;
+  double alpha, beta;
+};
+
+const Case kCases[] = {
+    {128, 128, 128, Trans::no, Trans::no, 1.0, 0.0},
+    {129, 127, 125, Trans::no, Trans::no, 1.0, 0.0},
+    {120, 140, 100, Trans::no, Trans::no, 2.0, -0.5},
+    {96, 96, 96, Trans::transpose, Trans::no, 1.0, 1.0},
+    {101, 99, 97, Trans::transpose, Trans::transpose, -1.0, 0.25},
+    {16, 16, 16, Trans::no, Trans::no, 1.0, 0.0},  // below the cutoff
+};
+
+// Runs kCases[index] through dgefmm at the host's pool-aware depth and
+// default gemm-thread width and compares against the reference GEMM.
+void check_case_against_reference(int index, core::Scheme scheme,
+                                  std::uint64_t seed) {
+  const Case cs = kCases[index];
+  Rng rng(seed);
   const index_t a_rows = is_trans(cs.ta) ? cs.k : cs.m;
   const index_t a_cols = is_trans(cs.ta) ? cs.m : cs.k;
   const index_t b_rows = is_trans(cs.tb) ? cs.n : cs.k;
@@ -380,17 +496,25 @@ TEST_P(ParallelStrassenCases, MatchesReference) {
   Matrix c_ref(cs.m, cs.n);
   copy(c.view(), c_ref.view());
 
-  parallel::ParallelDgefmmConfig cfg;
+  core::DgefmmConfig cfg;
   cfg.cutoff = core::CutoffCriterion::square_simple(24);
-  ASSERT_EQ(parallel::dgefmm_parallel(cs.ta, cs.tb, cs.m, cs.n, cs.k,
-                                      cs.alpha, a.data(), a.ld(), b.data(),
-                                      b.ld(), cs.beta, c.data(), c.ld(), cfg),
+  cfg.scheme = scheme;
+  ASSERT_EQ(core::dgefmm(cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha, a.data(),
+                         a.ld(), b.data(), b.ld(), cs.beta, c.data(), c.ld(),
+                         cfg),
             0);
   blas::gemm_reference(cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha, a.data(),
                        a.ld(), b.data(), b.ld(), cs.beta, c_ref.data(),
                        c_ref.ld());
   EXPECT_LT(max_abs_diff(c.view(), c_ref.view()),
             1e-11 * (static_cast<double>(cs.k) + 10.0));
+}
+
+class ParallelStrassenCases : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelStrassenCases, MatchesReference) {
+  check_case_against_reference(GetParam(), core::Scheme::automatic,
+                               100 + static_cast<std::uint64_t>(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ParallelStrassenCases, ::testing::Range(0, 6));
@@ -398,161 +522,23 @@ INSTANTIATE_TEST_SUITE_P(Cases, ParallelStrassenCases, ::testing::Range(0, 6));
 class ParallelFusedCases : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelFusedCases, FusedScheduleMatchesReference) {
-  struct Case {
-    index_t m, n, k;
-    Trans ta, tb;
-    double alpha, beta;
-  };
-  const std::vector<Case> cases = {
-      {128, 128, 128, Trans::no, Trans::no, 1.0, 0.0},
-      {129, 127, 125, Trans::no, Trans::no, 1.0, 0.0},
-      {120, 140, 100, Trans::no, Trans::no, 2.0, -0.5},
-      {96, 96, 96, Trans::transpose, Trans::no, 1.0, 1.0},
-      {101, 99, 97, Trans::transpose, Trans::transpose, -1.0, 0.25},
-      {16, 16, 16, Trans::no, Trans::no, 1.0, 0.0},  // serial fallback
-  };
-  const Case cs = cases[static_cast<std::size_t>(GetParam())];
-  Rng rng(200 + static_cast<std::uint64_t>(GetParam()));
-  const index_t a_rows = is_trans(cs.ta) ? cs.k : cs.m;
-  const index_t a_cols = is_trans(cs.ta) ? cs.m : cs.k;
-  const index_t b_rows = is_trans(cs.tb) ? cs.n : cs.k;
-  const index_t b_cols = is_trans(cs.tb) ? cs.k : cs.n;
-  Matrix a = random_matrix(a_rows, a_cols, rng);
-  Matrix b = random_matrix(b_rows, b_cols, rng);
-  Matrix c = random_matrix(cs.m, cs.n, rng);
-  Matrix c_ref(cs.m, cs.n);
-  copy(c.view(), c_ref.view());
-
-  parallel::ParallelDgefmmConfig cfg;
-  cfg.cutoff = core::CutoffCriterion::square_simple(24);
-  cfg.scheme = core::Scheme::fused;
-  ASSERT_EQ(parallel::dgefmm_parallel(cs.ta, cs.tb, cs.m, cs.n, cs.k,
-                                      cs.alpha, a.data(), a.ld(), b.data(),
-                                      b.ld(), cs.beta, c.data(), c.ld(), cfg),
-            0);
-  blas::gemm_reference(cs.ta, cs.tb, cs.m, cs.n, cs.k, cs.alpha, a.data(),
-                       a.ld(), b.data(), b.ld(), cs.beta, c_ref.data(),
-                       c_ref.ld());
-  EXPECT_LT(max_abs_diff(c.view(), c_ref.view()),
-            1e-11 * (static_cast<double>(cs.k) + 10.0));
+  check_case_against_reference(GetParam(), core::Scheme::fused,
+                               200 + static_cast<std::uint64_t>(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ParallelFusedCases, ::testing::Range(0, 6));
 
 TEST(ParallelStrassen, InvalidArgumentsReported) {
   Matrix a(8, 8), b(8, 8), c(8, 8);
-  parallel::ParallelDgefmmConfig cfg;
-  EXPECT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, 8, 8, 8, 1.0,
-                                      a.data(), 4, b.data(), 8, 0.0, c.data(),
-                                      8, cfg),
+  core::DgefmmConfig cfg;
+  EXPECT_EQ(core::dgefmm(Trans::no, Trans::no, 8, 8, 8, 1.0, a.data(), 4,
+                         b.data(), 8, 0.0, c.data(), 8, cfg),
             8);
 }
 
-// --- DAG scheduler: bitwise determinism and workspace exactness ------------
-
-// C must be bitwise identical for every thread budget / lane count / steal
-// order: combines apply their terms in the verified schedule's fixed order,
-// and the block partition is static. Exercised over both schemes, both DAG
-// depths, and even/odd shapes.
-class DagDeterminismMatrix
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(DagDeterminismMatrix, BitwiseIdenticalAcrossThreadCounts) {
-  const int scheme_idx = std::get<0>(GetParam());
-  const int par_depth = std::get<1>(GetParam());
-  const index_t n = std::get<2>(GetParam()) == 0 ? 128 : 117;
-  Rng rng(400 + static_cast<std::uint64_t>(scheme_idx * 10 + par_depth));
-  Matrix a = random_matrix(n, n, rng);
-  Matrix b = random_matrix(n, n, rng);
-  Matrix c0 = random_matrix(n, n, rng);
-
-  auto run_with_threads = [&](std::size_t threads, Matrix& c) {
-    copy(c0.view(), c.view());
-    parallel::ParallelDgefmmConfig cfg;
-    cfg.cutoff = core::CutoffCriterion::square_simple(24);
-    cfg.scheme = scheme_idx == 0 ? core::Scheme::automatic
-                                 : core::Scheme::fused;
-    cfg.par_depth = par_depth;
-    cfg.threads = threads;
-    ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.25,
-                                        a.data(), a.ld(), b.data(), b.ld(),
-                                        -0.5, c.data(), c.ld(), cfg),
-              0);
-  };
-
-  Matrix base(n, n), wide(n, n), pool_sized(n, n);
-  run_with_threads(1, base);  // one lane, serial leaves: the reference order
-  run_with_threads(2, wide);
-  run_with_threads(0, pool_sized);  // whatever the shared pool offers
-  const std::size_t bytes =
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n) *
-      sizeof(double);
-  EXPECT_EQ(std::memcmp(base.data(), wide.data(), bytes), 0);
-  EXPECT_EQ(std::memcmp(base.data(), pool_sized.data(), bytes), 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, DagDeterminismMatrix,
-    ::testing::Combine(::testing::Values(0, 1),   // automatic, fused
-                       ::testing::Values(1, 2),   // par_depth
-                       ::testing::Values(0, 1))); // even, odd shape
-
-TEST(ParallelStrassen, WorkspacePredictionIsExact) {
-  const index_t n = 144;
-  Rng rng(55);
-  Matrix a = random_matrix(n, n, rng);
-  Matrix b = random_matrix(n, n, rng);
-  Matrix c(n, n);
-  fill(c.view(), 0.0);
-  for (int depth = 1; depth <= 2; ++depth) {
-    Arena arena;
-    core::DgefmmStats stats;
-    parallel::ParallelDgefmmConfig cfg;
-    cfg.cutoff = core::CutoffCriterion::square_simple(24);
-    cfg.par_depth = depth;
-    cfg.threads = 4;
-    cfg.workspace = &arena;
-    cfg.stats = &stats;
-    const parallel::DagPlan plan = parallel::plan_dag(n, n, n, cfg);
-    ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.0,
-                                        a.data(), a.ld(), b.data(), b.ld(),
-                                        0.0, c.data(), c.ld(), cfg),
-              0);
-    // The single up-front reservation is carved exactly: predicted ==
-    // reserved == measured high-water mark.
-    EXPECT_EQ(arena.peak(), static_cast<std::size_t>(plan.workspace))
-        << "par_depth " << depth;
-    EXPECT_EQ(stats.peak_workspace, static_cast<std::size_t>(plan.workspace))
-        << "par_depth " << depth;
-    EXPECT_EQ(stats.dag_nodes,
-              static_cast<count_t>(plan.products + plan.combines));
-    EXPECT_EQ(stats.dag_lanes, plan.lanes);
-  }
-}
-
-TEST(ParallelStrassen, LegacyWholePoolLeafFanoutStillCorrect) {
-  // leaf_gemm_threads == 0 reproduces the pre-DAG behaviour (each product
-  // leaf claims the whole pool); kept as the ablation baseline.
-  const index_t n = 120;
-  Rng rng(56);
-  Matrix a = random_matrix(n, n, rng);
-  Matrix b = random_matrix(n, n, rng);
-  Matrix c(n, n), c_ref(n, n);
-  fill(c.view(), 0.0);
-  fill(c_ref.view(), 0.0);
-  parallel::ParallelDgefmmConfig cfg;
-  cfg.cutoff = core::CutoffCriterion::square_simple(24);
-  cfg.leaf_gemm_threads = 0;
-  ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.0,
-                                      a.data(), a.ld(), b.data(), b.ld(),
-                                      0.0, c.data(), c.ld(), cfg),
-            0);
-  blas::gemm_reference(Trans::no, Trans::no, n, n, n, 1.0, a.data(), a.ld(),
-                       b.data(), b.ld(), 0.0, c_ref.data(), c_ref.ld());
-  EXPECT_LT(max_abs_diff(c.view(), c_ref.view()), 1e-11 * (n + 10.0));
-}
-
-TEST(ParallelStrassen, SchedulerStatsRecorded) {
+// The scheduler fields of DgefmmStats are always 0: every call runs the
+// serial recursion, parallel only inside its GEMMs and quadrant passes.
+TEST(ParallelStrassen, SchedulerStatsStayZero) {
   const index_t n = 128;
   Rng rng(57);
   Matrix a = random_matrix(n, n, rng);
@@ -560,30 +546,125 @@ TEST(ParallelStrassen, SchedulerStatsRecorded) {
   Matrix c(n, n);
   fill(c.view(), 0.0);
   core::DgefmmStats stats;
-  parallel::ParallelDgefmmConfig cfg;
+  core::DgefmmConfig cfg;
   cfg.cutoff = core::CutoffCriterion::square_simple(24);
-  cfg.par_depth = 2;
-  cfg.lanes = 4;
-  cfg.threads = 4;
   cfg.stats = &stats;
-  ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.0,
-                                      a.data(), a.ld(), b.data(), b.ld(),
-                                      0.0, c.data(), c.ld(), cfg),
+  ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.0, a.data(),
+                         a.ld(), b.data(), b.ld(), 0.0, c.data(), c.ld(),
+                         cfg),
             0);
-  EXPECT_EQ(stats.dag_nodes, 49 + 16);
-  EXPECT_EQ(stats.dag_lanes, 4);
-  EXPECT_EQ(stats.gemm_threads, 1);  // moldable split: 4 budget / 4 lanes
+  EXPECT_GE(stats.strassen_levels, 1);
+  EXPECT_EQ(stats.steals, 0);
+  EXPECT_EQ(stats.dag_nodes, 0);
+  EXPECT_EQ(stats.dag_lanes, 0);
   EXPECT_EQ(stats.fallbacks, 0);
   EXPECT_NE(stats.kernel, nullptr);
 }
 
-// --- memory-system tuning: first-touch, huge pages, prefetch ---------------
+// The predicted workspace is exactly the arena's high-water mark at every
+// gemm-thread setting: the fan-out borrows no workspace of its own.
+TEST(ParallelStrassen, WorkspacePredictionIsExact) {
+  const index_t n = 144;
+  Rng rng(55);
+  Matrix a = random_matrix(n, n, rng);
+  Matrix b = random_matrix(n, n, rng);
+  Matrix c(n, n);
+  for (const core::Scheme scheme :
+       {core::Scheme::automatic, core::Scheme::fused}) {
+    for (int depth = 1; depth <= 2; ++depth) {
+      for (const int threads : kGemmThreadSettings) {
+        SCOPED_TRACE(::testing::Message()
+                     << "scheme " << static_cast<int>(scheme) << " depth "
+                     << depth << " gemm threads "
+                     << gemm_threads_label(threads));
+        std::optional<blas::ScopedGemmThreads> width;
+        if (threads > 0) width.emplace(threads);
+        fill(c.view(), 0.0);
+        Arena arena;
+        core::DgefmmStats stats;
+        core::DgefmmConfig cfg;
+        cfg.cutoff = core::CutoffCriterion::fixed_depth(depth);
+        cfg.scheme = scheme;
+        cfg.workspace = &arena;
+        cfg.stats = &stats;
+        const count_t predicted =
+            core::workspace_doubles(n, n, n, 0.0, cfg);
+        ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.0, a.data(),
+                               a.ld(), b.data(), b.ld(), 0.0, c.data(),
+                               c.ld(), cfg),
+                  0);
+        EXPECT_EQ(stats.max_depth, depth);
+        // Two fused levels at beta = 0 write C directly: no workspace.
+        if (scheme == core::Scheme::automatic) {
+          EXPECT_GT(predicted, 0);
+        }
+        EXPECT_EQ(arena.peak(), static_cast<std::size_t>(predicted));
+        EXPECT_EQ(stats.peak_workspace, static_cast<std::size_t>(predicted));
+      }
+    }
+  }
+}
 
-// The full knob matrix (prefetch on/off x huge pages on/off x 1-vs-N
-// threads) must be bitwise invisible: every combination produces the same
-// C as the all-off single-thread run. Prefetch changes cache residency,
-// huge pages change page backing, first-touch changes physical placement
-// -- none of them may change a value or a combine order.
+// --- bitwise determinism across gemm-thread settings -------------------------
+
+// C must be bitwise identical for every gemm-thread setting: the packed
+// loop's partitions write disjoint tiles with a sequential k loop, and the
+// quadrant adds are elementwise. Exercised over both schemes, recursion
+// depths 1 and 2, and even/odd shapes.
+class DeterminismMatrix
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(DeterminismMatrix, BitwiseIdenticalAcrossGemmThreads) {
+  const int scheme_idx = std::get<0>(GetParam());
+  const int depth = std::get<1>(GetParam());
+  const index_t n = std::get<2>(GetParam()) == 0 ? 128 : 117;
+  Rng rng(400 + static_cast<std::uint64_t>(scheme_idx * 10 + depth));
+  Matrix a = random_matrix(n, n, rng);
+  Matrix b = random_matrix(n, n, rng);
+  Matrix c0 = random_matrix(n, n, rng);
+
+  auto run = [&](int threads, Matrix& c) {
+    std::optional<blas::ScopedGemmThreads> width;
+    if (threads > 0) width.emplace(threads);
+    copy(c0.view(), c.view());
+    core::DgefmmStats stats;
+    core::DgefmmConfig cfg;
+    cfg.cutoff = core::CutoffCriterion::fixed_depth(depth);
+    cfg.scheme = scheme_idx == 0 ? core::Scheme::automatic
+                                 : core::Scheme::fused;
+    cfg.stats = &stats;
+    ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.25, a.data(),
+                           a.ld(), b.data(), b.ld(), -0.5, c.data(), c.ld(),
+                           cfg),
+              0);
+    EXPECT_EQ(stats.max_depth, depth);
+  };
+
+  Matrix base(n, n), other(n, n);
+  run(1, base);
+  const std::size_t bytes =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(n) *
+      sizeof(double);
+  for (const int threads : kGemmThreadSettings) {
+    SCOPED_TRACE("gemm threads " + gemm_threads_label(threads));
+    run(threads, other);
+    EXPECT_EQ(std::memcmp(base.data(), other.data(), bytes), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, DeterminismMatrix,
+    ::testing::Combine(::testing::Values(0, 1),    // automatic, fused
+                       ::testing::Values(1, 2),    // recursion depth
+                       ::testing::Values(0, 1)));  // even, odd shape
+
+// --- memory-system tuning: huge pages, prefetch ------------------------------
+
+// The full knob matrix (prefetch on/off x huge pages on/off x gemm-thread
+// settings) must be bitwise invisible: every combination produces the same
+// C as the all-off serial run. Prefetch changes cache residency and huge
+// pages change page backing -- neither may change a value or an
+// accumulation order.
 TEST(MemorySystem, KnobMatrixBitwiseIdenticalAcrossThreadCounts) {
   const index_t n = 160;
   Rng rng(606);
@@ -593,17 +674,18 @@ TEST(MemorySystem, KnobMatrixBitwiseIdenticalAcrossThreadCounts) {
   const std::size_t bytes = static_cast<std::size_t>(n) *
                             static_cast<std::size_t>(n) * sizeof(double);
 
-  auto run = [&](bool pf, bool huge, std::size_t threads, Matrix& c) {
+  auto run = [&](bool pf, bool huge, int threads, Matrix& c) {
     blas::ScopedPackPrefetch prefetch(pf);
     ScopedHugePages hp(huge);
+    std::optional<blas::ScopedGemmThreads> width;
+    if (threads > 0) width.emplace(threads);
     copy(c0.view(), c.view());
-    parallel::ParallelDgefmmConfig cfg;
+    core::DgefmmConfig cfg;
     cfg.cutoff = core::CutoffCriterion::square_simple(24);
     cfg.scheme = core::Scheme::fused;
-    cfg.threads = threads;
-    ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.25,
-                                        a.data(), a.ld(), b.data(), b.ld(),
-                                        -0.5, c.data(), c.ld(), cfg),
+    ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.25, a.data(),
+                           a.ld(), b.data(), b.ld(), -0.5, c.data(), c.ld(),
+                           cfg),
               0);
   };
 
@@ -611,11 +693,10 @@ TEST(MemorySystem, KnobMatrixBitwiseIdenticalAcrossThreadCounts) {
   run(false, false, 1, base);
   for (const bool pf : {false, true}) {
     for (const bool huge : {false, true}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{0}}) {
+      for (const int threads : kGemmThreadSettings) {
         SCOPED_TRACE(std::string("prefetch=") + (pf ? "on" : "off") +
-                     " hugepages=" + (huge ? "on" : "off") + " threads=" +
-                     std::to_string(threads));
+                     " hugepages=" + (huge ? "on" : "off") +
+                     " threads=" + gemm_threads_label(threads));
         run(pf, huge, threads, other);
         EXPECT_EQ(std::memcmp(base.data(), other.data(), bytes), 0);
       }
@@ -623,36 +704,7 @@ TEST(MemorySystem, KnobMatrixBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-// Multi-lane runs first-touch their per-lane sub-arenas before the compute
-// phase and record the page count; the touches must not perturb the result
-// (the arena contract says every region is written before read, so a
-// pre-write of zeros is invisible).
-TEST(MemorySystem, FirstTouchPagesRecordedAndInvisible) {
-  const index_t n = 160;
-  Rng rng(607);
-  Matrix a = random_matrix(n, n, rng);
-  Matrix b = random_matrix(n, n, rng);
-  Matrix c(n, n), c_ref(n, n);
-  fill(c.view(), 0.0);
-  fill(c_ref.view(), 0.0);
-  core::DgefmmStats stats;
-  parallel::ParallelDgefmmConfig cfg;
-  cfg.cutoff = core::CutoffCriterion::square_simple(24);
-  cfg.scheme = core::Scheme::fused;
-  cfg.lanes = 4;
-  cfg.threads = 4;
-  cfg.stats = &stats;
-  ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.0,
-                                      a.data(), a.ld(), b.data(), b.ld(),
-                                      0.0, c.data(), c.ld(), cfg),
-            0);
-  EXPECT_GT(stats.first_touch_pages, 0);
-  blas::gemm_reference(Trans::no, Trans::no, n, n, n, 1.0, a.data(), a.ld(),
-                       b.data(), b.ld(), 0.0, c_ref.data(), c_ref.ld());
-  EXPECT_LT(max_abs_diff(c.view(), c_ref.view()), 1e-11 * (n + 10.0));
-}
-
-// The stats report exactly what the run's arena got advised: equal to the
+// The stats report exactly what the call's arena got advised: equal to the
 // arena's own accounting when the switch is on, zero when off. (Whether
 // the kernel grants the advice is host-dependent; equality is the
 // contract, not a particular byte count.)
@@ -663,53 +715,67 @@ TEST(MemorySystem, HugePageStatsMatchArenaAccounting) {
   Matrix b = random_matrix(n, n, rng);
   Matrix c(n, n);
   for (const bool huge : {false, true}) {
-    SCOPED_TRACE(huge ? "hugepages=on" : "hugepages=off");
-    ScopedHugePages hp(huge);
-    fill(c.view(), 0.0);
-    Arena arena;
-    core::DgefmmStats stats;
-    parallel::ParallelDgefmmConfig cfg;
-    cfg.cutoff = core::CutoffCriterion::square_simple(24);
-    cfg.lanes = 2;
-    cfg.threads = 2;
-    cfg.workspace = &arena;
-    cfg.stats = &stats;
-    ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.0,
-                                        a.data(), a.ld(), b.data(), b.ld(),
-                                        0.0, c.data(), c.ld(), cfg),
-              0);
-    EXPECT_EQ(stats.hugepage_bytes, arena.huge_advised_bytes());
-    if (!huge) {
-      EXPECT_EQ(stats.hugepage_bytes, 0u);
+    for (const int threads : kGemmThreadSettings) {
+      SCOPED_TRACE(std::string(huge ? "hugepages=on" : "hugepages=off") +
+                   " threads=" + gemm_threads_label(threads));
+      ScopedHugePages hp(huge);
+      std::optional<blas::ScopedGemmThreads> width;
+      if (threads > 0) width.emplace(threads);
+      fill(c.view(), 0.0);
+      Arena arena;
+      core::DgefmmStats stats;
+      core::DgefmmConfig cfg;
+      cfg.cutoff = core::CutoffCriterion::square_simple(24);
+      cfg.workspace = &arena;
+      cfg.stats = &stats;
+      ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.0, a.data(),
+                             a.ld(), b.data(), b.ld(), 0.0, c.data(), c.ld(),
+                             cfg),
+                0);
+      EXPECT_GT(stats.peak_workspace, 0u) << "the call must use the arena";
+      EXPECT_EQ(stats.hugepage_bytes, arena.huge_advised_bytes());
+      if (!huge) {
+        EXPECT_EQ(stats.hugepage_bytes, 0u);
+      }
     }
   }
 }
 
+// Run to run, and across gemm-thread settings, the same call gives the
+// same bits: the partitions are static.
 TEST(ParallelStrassen, DeterministicAcrossRuns) {
   Rng rng(9);
   const index_t n = 100;
   Matrix a = random_matrix(n, n, rng);
   Matrix b = random_matrix(n, n, rng);
-  Matrix c1(n, n), c2(n, n);
-  fill(c1.view(), 0.0);
-  fill(c2.view(), 0.0);
-  parallel::ParallelDgefmmConfig cfg;
+  Matrix first(n, n);
+  core::DgefmmConfig cfg;
   cfg.cutoff = core::CutoffCriterion::square_simple(24);
-  parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.0, a.data(), n,
-                            b.data(), n, 0.0, c1.data(), n, cfg);
-  parallel::dgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.0, a.data(), n,
-                            b.data(), n, 0.0, c2.data(), n, cfg);
-  // The task partition is static, so results are bit-identical run to run.
-  EXPECT_EQ(max_abs_diff(c1.view(), c2.view()), 0.0);
+  const auto run = [&](Matrix& c) {
+    fill(c.view(), 0.0);
+    ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.0, a.data(), n,
+                           b.data(), n, 0.0, c.data(), n, cfg),
+              0);
+  };
+  run(first);
+  for (const int threads : kGemmThreadSettings) {
+    SCOPED_TRACE("gemm threads " + gemm_threads_label(threads));
+    std::optional<blas::ScopedGemmThreads> width;
+    if (threads > 0) width.emplace(threads);
+    for (int rep = 0; rep < 2; ++rep) {
+      Matrix again(n, n);
+      run(again);
+      EXPECT_EQ(max_abs_diff(first.view(), again.view()), 0.0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // The default drop-in on the whole pool: at a fixed pool size its bits do
 // not depend on the calling thread's gemm-thread setting (serial, or any
 // width of the 2-D packed-loop and quadrant-add fan-out), nor on how many
-// calls share the pool at once from worker threads (as DAG lanes and
-// serving workers do). P is pinned so the recursion is the same on every
-// host.
+// calls share the pool at once from other threads (as serving workers
+// do). P is pinned so the recursion is the same on every host.
 
 template <class T>
 void default_gefmm_bitwise_across_settings() {
@@ -760,15 +826,15 @@ void default_gefmm_bitwise_across_settings() {
     EXPECT_EQ(stats.max_depth, serial_stats.max_depth);
     EXPECT_EQ(stats.base_gemms, serial_stats.base_gemms);
   }
-  for (const std::size_t lanes : {1u, 2u, 4u}) {
-    SCOPED_TRACE("concurrent calls " + std::to_string(lanes));
+  for (const std::size_t calls : {1u, 2u, 4u}) {
+    SCOPED_TRACE("concurrent calls " + std::to_string(calls));
     std::vector<MatrixT<T>> out;
-    for (std::size_t l = 0; l < lanes; ++l) out.emplace_back(m, n);
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      tasks.emplace_back([&, l] { call(out[l], nullptr); });
+    for (std::size_t l = 0; l < calls; ++l) out.emplace_back(m, n);
+    std::vector<std::thread> callers;
+    for (std::size_t l = 0; l < calls; ++l) {
+      callers.emplace_back([&, l] { call(out[l], nullptr); });
     }
-    parallel::global_pool().run_batch(std::move(tasks));
+    for (std::thread& t : callers) t.join();
     for (const MatrixT<T>& c : out) {
       EXPECT_EQ(std::memcmp(c.data(), serial.data(), bytes), 0);
     }

@@ -154,22 +154,17 @@ TEST(Persist, SchemeCrossoverKeysRoundTrip) {
   t.tau_fused2 = 1100;
   t.tau_hybrid = 1460;
   t.tau_s2 = 2100;
-  t.tau_dag = 720;
-  t.threads = 4;
   std::stringstream ss;
   tuning::save_criteria(t, ss);
   EXPECT_NE(ss.str().find("scheme.fused = 1944"), std::string::npos);
   EXPECT_NE(ss.str().find("scheme.fused2 = 1100"), std::string::npos);
   EXPECT_NE(ss.str().find("scheme.hybrid = 1460"), std::string::npos);
   EXPECT_NE(ss.str().find("scheme.s2 = 2100"), std::string::npos);
-  EXPECT_NE(ss.str().find("scheme.dag = 720"), std::string::npos);
   const TunedCriteria back = tuning::load_criteria(ss);
   EXPECT_DOUBLE_EQ(back.tau_fused, 1944);
   EXPECT_DOUBLE_EQ(back.tau_fused2, 1100);
   EXPECT_DOUBLE_EQ(back.tau_hybrid, 1460);
   EXPECT_DOUBLE_EQ(back.tau_s2, 2100);
-  EXPECT_DOUBLE_EQ(back.tau_dag, 720);
-  EXPECT_EQ(back.threads, 4);
 }
 
 TEST(Persist, SchemeKeysAbsentKeepNeverSentinel) {
@@ -181,8 +176,45 @@ TEST(Persist, SchemeKeysAbsentKeepNeverSentinel) {
   EXPECT_DOUBLE_EQ(back.tau_fused2, 0);
   EXPECT_DOUBLE_EQ(back.tau_hybrid, 0);
   EXPECT_DOUBLE_EQ(back.tau_s2, 0);
-  EXPECT_DOUBLE_EQ(back.tau_dag, 0);
-  EXPECT_EQ(back.threads, 0);
+}
+
+TEST(Persist, TaskDagEraFileLoadsAndIgnoresDagKeys) {
+  // Files written while the task-DAG route existed carry its crossover
+  // (`scheme.dag`) and the pool size it was measured with (`threads`).
+  // They still load: every other key keeps its value, the two DAG keys
+  // are ignored, and a save writes neither back.
+  std::stringstream ss(
+      "# DGEFMM tuned cutoff parameters (hybrid criterion, eq. 15)\n"
+      "format = 1\n"
+      "kernel = avx512-8x8\n"
+      "elem = f64\n"
+      "beta_zero.tau = 199\n"
+      "beta_zero.tau_m = 75\n"
+      "beta_zero.tau_k = 125\n"
+      "beta_zero.tau_n = 95\n"
+      "general.tau = 180\n"
+      "general.tau_m = 70\n"
+      "general.tau_k = 120\n"
+      "general.tau_n = 101\n"
+      "scheme.fused = 384\n"
+      "scheme.fused2 = 1100\n"
+      "scheme.hybrid = 1460\n"
+      "scheme.s2 = 2100\n"
+      "scheme.dag = 720\n"
+      "threads = 4\n");
+  const TunedCriteria back = tuning::load_criteria(ss);
+  EXPECT_EQ(back.kernel, "avx512-8x8");
+  EXPECT_EQ(back.elem, "f64");
+  EXPECT_DOUBLE_EQ(back.beta_zero.tau, 199);
+  EXPECT_DOUBLE_EQ(back.general.tau_n, 101);
+  EXPECT_DOUBLE_EQ(back.tau_fused, 384);
+  EXPECT_DOUBLE_EQ(back.tau_fused2, 1100);
+  EXPECT_DOUBLE_EQ(back.tau_hybrid, 1460);
+  EXPECT_DOUBLE_EQ(back.tau_s2, 2100);
+  std::stringstream out;
+  tuning::save_criteria(back, out);
+  EXPECT_EQ(out.str().find("scheme.dag"), std::string::npos);
+  EXPECT_EQ(out.str().find("threads"), std::string::npos);
 }
 
 TEST(Persist, ZeroTausAreNotWritten) {

@@ -462,7 +462,6 @@ TEST(ServePrepack, PackedBRequestMatchesFreshBitwise) {
   req.ldb = b.ld();
   req.beta = 0.5;
   req.ldc = s;
-  req.prefer_parallel = false;
 
   Matrix want(s, s);
   copy(c0.view(), want.view());
@@ -478,8 +477,11 @@ TEST(ServePrepack, PackedBRequestMatchesFreshBitwise) {
   EXPECT_GT(q.stats().gefmm.pack_hits, 0)
       << "the admitted run must have streamed from the shared handle";
 
-  // The task-DAG path ignores the handle (documented): same request at a
-  // recursing shape with prefer_parallel stays correct.
+  // A recursing shape does not reduce to one top-level packed GEMM, so the
+  // driver does not consult the handle (documented): the same request with
+  // the handle gives the drop-in's bits. P = 1 keeps n = 96 recursing on
+  // any host.
+  core::detail::ScopedPoolWorkers serial_depth(1);
   const index_t r = 96;
   Matrix ra = random_matrix(r, r, rng);
   Matrix rb = random_matrix(r, r, rng);
@@ -496,12 +498,11 @@ TEST(ServePrepack, PackedBRequestMatchesFreshBitwise) {
   rreq.c = rwant.data();
   rreq.ldc = r;
   rreq.cutoff = CutoffCriterion::square_simple(32);
-  rreq.prefer_parallel = true;
   ASSERT_EQ(q.submit(rreq).wait(), 0);
   rreq.c = rc.data();
   rreq.packed_b = &rpb;
   ASSERT_EQ(q.submit(rreq).wait(), 0);
-  expect_bitwise(rc, rwant, "serve DAG ignores packed_b");
+  expect_bitwise(rc, rwant, "serve recursion ignores packed_b");
 }
 
 // ---------------------------------------------------------------------------

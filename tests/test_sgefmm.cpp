@@ -1,27 +1,28 @@
 // SGEFMM: the float instantiation of the GEFMM vertical.
 //
 // Three pillars, mirroring the double suites:
-//  * a correctness matrix (shapes x transposes x beta x schemes, serial and
-//    parallel DAG) checked against a double-precision reference product --
+//  * a correctness matrix (shapes x transposes x beta x schemes) checked
+//    against a double-precision reference product --
 //    the float result must sit within a forward-error bound scaled for
 //    Strassen's error growth, not merely "close to a float reference";
 //  * the fault-injection sweeps of test_faults.cpp re-run through the float
 //    entry points, asserting the same strict/fallback contract
 //    (DESIGN.md section 7) holds for the float arenas and pack buffers;
-//  * bitwise determinism: sgefmm_parallel must produce memcmp-identical C
-//    for every thread budget, exactly like dgefmm_parallel.
+//  * bitwise determinism: sgefmm must produce memcmp-identical C for every
+//    gemm-thread setting, exactly like dgefmm.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <tuple>
 #include <vector>
 
 #include "blas/gemm.hpp"
+#include "blas/packed_loop.hpp"
 #include "core/sgefmm.hpp"
 #include "core/workspace.hpp"
 #include "fault_census.hpp"
-#include "parallel/parallel_strassen.hpp"
 #include "support/faultinject.hpp"
 #include "support/matrix.hpp"
 #include "support/random.hpp"
@@ -310,20 +311,14 @@ void sweep_counted_f(const ProblemF& p, FailurePolicy policy,
   }
 }
 
-// The paper's recursion depth (P = 1), so the small shapes still recurse.
-void sweep_serial_f(index_t m, index_t n, index_t k, Scheme scheme,
-                    float beta, FailurePolicy policy, std::uint64_t seed) {
-  core::detail::ScopedPoolWorkers serial_depth(1);
-  SCOPED_TRACE(::testing::Message()
-               << "serial-f " << m << "x" << n << "x" << k << " scheme "
-               << static_cast<int>(scheme) << " beta " << beta);
-  const ProblemF p(m, n, k, 1.0f, beta, seed);
-  SgefmmConfig cfg;
-  cfg.cutoff = CutoffCriterion::square_simple(16);
-  cfg.scheme = scheme;
-  cfg.on_failure = policy;
+// Counts one sgefmm call's acquisitions, steady and cold, checks both
+// against the closed forms and sweeps every one of them. `plan` receives a
+// clean call's stats.
+void sweep_call_f(const ProblemF& p, const SgefmmConfig& cfg,
+                  FailurePolicy policy, DgefmmStats* plan) {
   const auto run = [&](MatrixF& c, DgefmmStats* stats) {
     SgefmmConfig call = cfg;
+    call.on_failure = policy;
     call.stats = stats;
     return core::sgefmm(Trans::no, Trans::no, p.m, p.n, p.k, p.alpha,
                         p.a.data(), p.m, p.b.data(), p.k, p.beta, c.data(),
@@ -336,62 +331,57 @@ void sweep_serial_f(index_t m, index_t n, index_t k, Scheme scheme,
   };
   const long acquisitions = census::count_acquisitions(clean_call);
   const long steady = census::serial_acquisitions(
-      /*local_arena=*/true, core::workspace_floats(m, n, k, beta, cfg) > 0);
+      /*local_arena=*/true,
+      core::workspace_floats(p.m, p.n, p.k, p.beta, cfg) > 0);
   EXPECT_EQ(acquisitions, steady);
   sweep_counted_f(p, policy, acquisitions, /*cold=*/false, run);
 
-  DgefmmStats plan;
   copy(p.c0.view(), scratch.view());
-  ASSERT_EQ(run(scratch, &plan), 0);
+  ASSERT_EQ(run(scratch, plan), 0);
   const long cold = census::count_cold_acquisitions(clean_call);
   EXPECT_EQ(cold, steady + census::cold_scratch_acquisitions(
-                               plan.gemm_threads > 1,
+                               plan->gemm_threads > 1,
                                static_cast<long>(
                                    parallel::global_pool().size())));
   sweep_counted_f(p, policy, cold, /*cold=*/true, run);
 }
 
+// The paper's recursion depth (P = 1) by default, so the small shapes still
+// recurse; `pool_depth` keeps the host's pool-aware depth instead.
+void sweep_serial_f(index_t m, index_t n, index_t k, Scheme scheme,
+                    float beta, FailurePolicy policy, std::uint64_t seed,
+                    bool pool_depth = false) {
+  std::optional<core::detail::ScopedPoolWorkers> serial_depth;
+  if (!pool_depth) serial_depth.emplace(1);
+  SCOPED_TRACE(::testing::Message()
+               << "serial-f " << m << "x" << n << "x" << k << " scheme "
+               << static_cast<int>(scheme) << " beta " << beta);
+  const ProblemF p(m, n, k, 1.0f, beta, seed);
+  SgefmmConfig cfg;
+  cfg.cutoff = CutoffCriterion::square_simple(16);
+  cfg.scheme = scheme;
+  DgefmmStats plan;
+  sweep_call_f(p, cfg, policy, &plan);
+}
+
+// One recursion level at a pinned gemm-thread setting (> 1), so on any host
+// the swept call's packed GEMMs and quadrant passes fan out over the pool.
 void sweep_parallel_f(index_t m, index_t n, index_t k, Scheme scheme,
                       float beta, FailurePolicy policy, std::uint64_t seed,
-                      int par_depth = 0) {
+                      int gemm_threads) {
+  blas::ScopedGemmThreads fan(gemm_threads);
   SCOPED_TRACE(::testing::Message()
                << "parallel-f " << m << "x" << n << "x" << k << " scheme "
                << static_cast<int>(scheme) << " beta " << beta
-               << " par_depth " << par_depth);
+               << " gemm threads " << gemm_threads);
   const ProblemF p(m, n, k, 1.0f, beta, seed);
-  parallel::ParallelSgefmmConfig cfg;
-  cfg.cutoff = CutoffCriterion::square_simple(16);
+  SgefmmConfig cfg;
+  cfg.cutoff = CutoffCriterion::fixed_depth(1);
   cfg.scheme = scheme;
-  cfg.on_failure = policy;
-  cfg.par_depth = par_depth;
-  const auto run = [&](MatrixF& c, DgefmmStats* stats) {
-    parallel::ParallelSgefmmConfig call = cfg;
-    call.stats = stats;
-    return parallel::sgefmm_parallel(Trans::no, Trans::no, p.m, p.n, p.k,
-                                     p.alpha, p.a.data(), p.m, p.b.data(),
-                                     p.k, p.beta, c.data(), p.m, call);
-  };
-  MatrixF scratch(p.m, p.n);  // allocated outside the census
-  const auto clean_call = [&] {
-    copy(p.c0.view(), scratch.view());
-    ASSERT_EQ(run(scratch, nullptr), 0);
-  };
-  const long acquisitions = census::count_acquisitions(clean_call);
   DgefmmStats plan;
-  copy(p.c0.view(), scratch.view());
-  ASSERT_EQ(run(scratch, &plan), 0);
-  ASSERT_TRUE(plan.dag_nodes == 11 || plan.dag_nodes == 65);
-  const long workers = static_cast<long>(parallel::global_pool_size());
-  const long steady = census::dag_acquisitions(
-      plan.dag_nodes == 65 ? 2 : 1, plan.dag_lanes,
-      plan.first_touch_pages > 0, workers);
-  EXPECT_EQ(acquisitions, steady);
-  sweep_counted_f(p, policy, acquisitions, /*cold=*/false, run);
-
-  const long cold = census::count_cold_acquisitions(clean_call);
-  EXPECT_EQ(cold, steady + census::cold_scratch_acquisitions(
-                               /*warms_workers=*/true, workers));
-  sweep_counted_f(p, policy, cold, /*cold=*/true, run);
+  sweep_call_f(p, cfg, policy, &plan);
+  EXPECT_EQ(plan.max_depth, 1);
+  EXPECT_EQ(plan.gemm_threads, gemm_threads) << "the call must fan out";
 }
 
 TEST_F(SgefmmFaults, SerialSweepStrassen1Strict) {
@@ -423,74 +413,130 @@ TEST_F(SgefmmFaults, SerialSweepOddRectangularFallback) {
                  43);
 }
 
+// The host's pool-aware depth, where the top-level GEMM fans out and the
+// cold pre-flight warms every pool worker's float scratch.
+TEST_F(SgefmmFaults, SerialSweepPoolDepthStrict) {
+  sweep_serial_f(256, 256, 256, Scheme::automatic, 1.3f,
+                 FailurePolicy::strict, 44, /*pool_depth=*/true);
+}
+
+TEST_F(SgefmmFaults, SerialSweepPoolDepthFallback) {
+  sweep_serial_f(256, 256, 256, Scheme::automatic, 1.3f,
+                 FailurePolicy::fallback, 44, /*pool_depth=*/true);
+}
+
 TEST_F(SgefmmFaults, ParallelSweepStrict) {
-  sweep_parallel_f(64, 64, 64, Scheme::automatic, 1.3f, FailurePolicy::strict,
-                   44);
+  sweep_parallel_f(257, 255, 253, Scheme::automatic, 1.3f,
+                   FailurePolicy::strict, 45, /*gemm_threads=*/3);
 }
 
 TEST_F(SgefmmFaults, ParallelSweepFallback) {
-  sweep_parallel_f(64, 64, 64, Scheme::automatic, 1.3f,
-                   FailurePolicy::fallback, 44);
+  sweep_parallel_f(257, 255, 253, Scheme::automatic, 1.3f,
+                   FailurePolicy::fallback, 45, /*gemm_threads=*/3);
 }
 
-TEST_F(SgefmmFaults, ParallelSweepDagDepth2Strict) {
-  sweep_parallel_f(72, 72, 72, Scheme::fused, 0.0f, FailurePolicy::strict, 45,
-                   /*par_depth=*/2);
+TEST_F(SgefmmFaults, ParallelSweepFusedStrict) {
+  sweep_parallel_f(256, 256, 256, Scheme::fused, 0.0f, FailurePolicy::strict,
+                   46, /*gemm_threads=*/2);
 }
 
-TEST_F(SgefmmFaults, ParallelSweepDagDepth2Fallback) {
-  sweep_parallel_f(72, 72, 72, Scheme::fused, 0.0f, FailurePolicy::fallback,
-                   45, /*par_depth=*/2);
+TEST_F(SgefmmFaults, ParallelSweepFusedFallback) {
+  sweep_parallel_f(256, 256, 256, Scheme::fused, 0.0f,
+                   FailurePolicy::fallback, 46, /*gemm_threads=*/2);
 }
 
 // ---------------------------------------------------------------------------
-// Bitwise determinism across thread budgets: the float DAG combines apply
-// their terms in the verified schedule's fixed order, so C is
-// memcmp-identical whatever the pool does.
+// Bitwise determinism across gemm-thread settings: the packed loop's
+// partitions write disjoint tiles with a sequential k loop, so C is
+// memcmp-identical whatever width the pool fan-out has.
 
 class SgefmmDeterminism
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
-TEST_P(SgefmmDeterminism, BitwiseIdenticalAcrossThreadCounts) {
+TEST_P(SgefmmDeterminism, BitwiseIdenticalAcrossGemmThreads) {
   const Scheme scheme =
       std::get<0>(GetParam()) == 0 ? Scheme::automatic : Scheme::fused;
-  const int par_depth = std::get<1>(GetParam());
+  const int depth = std::get<1>(GetParam());
   const index_t n = std::get<2>(GetParam()) == 0 ? 128 : 117;
-  Rng rng(4000 + static_cast<std::uint64_t>(std::get<0>(GetParam()) * 10 +
-                                            par_depth));
+  Rng rng(4000 +
+          static_cast<std::uint64_t>(std::get<0>(GetParam()) * 10 + depth));
   const MatrixF a = random_matrix_f(n, n, rng);
   const MatrixF b = random_matrix_f(n, n, rng);
   const MatrixF c0 = random_matrix_f(n, n, rng);
 
-  auto run_with_threads = [&](std::size_t threads, MatrixF& c) {
+  // threads < 0 leaves the ambient setting (the environment's default).
+  auto run_with_threads = [&](int threads, MatrixF& c) {
+    std::optional<blas::ScopedGemmThreads> width;
+    if (threads > 0) width.emplace(threads);
     copy(c0.view(), c.view());
-    parallel::ParallelSgefmmConfig cfg;
-    cfg.cutoff = CutoffCriterion::square_simple(16);
+    DgefmmStats stats;
+    SgefmmConfig cfg;
+    cfg.cutoff = CutoffCriterion::fixed_depth(depth);
     cfg.scheme = scheme;
-    cfg.par_depth = par_depth;
-    cfg.threads = threads;
-    ASSERT_EQ(parallel::sgefmm_parallel(Trans::no, Trans::no, n, n, n, 1.5f,
-                                        a.data(), n, b.data(), n, 0.25f,
-                                        c.data(), n, cfg),
+    cfg.stats = &stats;
+    ASSERT_EQ(core::sgefmm(Trans::no, Trans::no, n, n, n, 1.5f, a.data(), n,
+                           b.data(), n, 0.25f, c.data(), n, cfg),
               0);
+    EXPECT_EQ(stats.max_depth, depth);
   };
 
-  MatrixF base(n, n), wide(n, n), pool_sized(n, n);
+  MatrixF base(n, n), other(n, n);
   run_with_threads(1, base);
-  run_with_threads(8, wide);
-  run_with_threads(0, pool_sized);
   const std::size_t bytes =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(n) *
       sizeof(float);
-  EXPECT_EQ(std::memcmp(base.data(), wide.data(), bytes), 0);
-  EXPECT_EQ(std::memcmp(base.data(), pool_sized.data(), bytes), 0);
+  for (const int threads : {2, 3, -1}) {
+    SCOPED_TRACE("gemm threads " + std::to_string(threads));
+    run_with_threads(threads, other);
+    EXPECT_EQ(std::memcmp(base.data(), other.data(), bytes), 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, SgefmmDeterminism,
     ::testing::Combine(::testing::Values(0, 1),    // automatic, fused
-                       ::testing::Values(1, 2),    // par_depth
+                       ::testing::Values(1, 2),    // recursion depth
                        ::testing::Values(0, 1)));  // even, odd shape
+
+// The predicted float workspace is exactly the arena's high-water mark at
+// every gemm-thread setting: the fan-out borrows no workspace of its own.
+TEST(SgefmmParallel, WorkspacePredictionIsExact) {
+  const index_t n = 144;
+  Rng rng(89);
+  const MatrixF a = random_matrix_f(n, n, rng);
+  const MatrixF b = random_matrix_f(n, n, rng);
+  MatrixF c(n, n);
+  for (const Scheme scheme : {Scheme::automatic, Scheme::fused}) {
+    for (int depth = 1; depth <= 2; ++depth) {
+      for (const int threads : {1, 2, 3, -1}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "scheme " << static_cast<int>(scheme) << " depth "
+                     << depth << " gemm threads " << threads);
+        std::optional<blas::ScopedGemmThreads> width;
+        if (threads > 0) width.emplace(threads);
+        c.fill(0.0f);
+        ArenaF arena;
+        DgefmmStats stats;
+        SgefmmConfig cfg;
+        cfg.cutoff = CutoffCriterion::fixed_depth(depth);
+        cfg.scheme = scheme;
+        cfg.workspace = &arena;
+        cfg.stats = &stats;
+        const count_t predicted = core::workspace_floats(n, n, n, 0.0f, cfg);
+        ASSERT_EQ(core::sgefmm(Trans::no, Trans::no, n, n, n, 1.0f, a.data(),
+                               n, b.data(), n, 0.0f, c.data(), n, cfg),
+                  0);
+        EXPECT_EQ(stats.max_depth, depth);
+        // Two fused levels at beta = 0 write C directly: no workspace.
+        if (scheme == Scheme::automatic) {
+          EXPECT_GT(predicted, 0);
+        }
+        EXPECT_EQ(arena.peak(), static_cast<std::size_t>(predicted));
+        EXPECT_EQ(stats.peak_workspace, static_cast<std::size_t>(predicted));
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace strassen

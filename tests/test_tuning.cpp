@@ -13,7 +13,6 @@
 #include "core/tuned_policy.hpp"
 #include "core/workspace.hpp"
 #include "model/opmodel.hpp"
-#include "parallel/parallel_strassen.hpp"
 #include "support/matrix.hpp"
 #include "support/random.hpp"
 #include "tuning/autotune.hpp"
@@ -164,41 +163,35 @@ TEST(TunedPolicy, PathRoutingThresholds) {
   core::TunedPolicy p;
   p.tau_fused = 100;
   p.tau_fused2 = 300;
-  p.tau_dag = 500;
 
   using core::TunedPath;
-  // At or below tau_fused: plain GEMM, regardless of workers.
-  EXPECT_EQ(core::tuned_path_for(p, 100, 100, 100, 1), TunedPath::gemm);
-  EXPECT_EQ(core::tuned_path_for(p, 100, 100, 100, 8), TunedPath::gemm);
+  // At or below tau_fused: plain GEMM.
+  EXPECT_EQ(core::tuned_path_for(p, 100, 100, 100), TunedPath::gemm);
   // Between tau_fused and tau_fused2: one fused level.
-  EXPECT_EQ(core::tuned_path_for(p, 200, 200, 200, 1), TunedPath::fused_l1);
+  EXPECT_EQ(core::tuned_path_for(p, 200, 200, 200), TunedPath::fused_l1);
   // Above tau_fused2: two fused levels.
-  EXPECT_EQ(core::tuned_path_for(p, 400, 400, 400, 1), TunedPath::fused_l2);
-  // Above tau_dag: the DAG, but only when there are workers to use it.
-  EXPECT_EQ(core::tuned_path_for(p, 600, 600, 600, 1), TunedPath::fused_l2);
-  EXPECT_EQ(core::tuned_path_for(p, 600, 600, 600, 4), TunedPath::dag);
+  EXPECT_EQ(core::tuned_path_for(p, 400, 400, 400), TunedPath::fused_l2);
+  EXPECT_EQ(core::tuned_path_for(p, 600, 600, 600), TunedPath::fused_l2);
   // Equivalent order: a rectangular shape routes by cbrt(m*k*n).
-  EXPECT_EQ(core::tuned_path_for(p, 1000, 10, 10, 1), TunedPath::gemm);
+  EXPECT_EQ(core::tuned_path_for(p, 1000, 10, 10), TunedPath::gemm);
 
-  // Above tau_hybrid the classic recursion outranks the fused levels (but
-  // not the DAG); tau_hybrid == 0 means "hybrid never won".
+  // Above tau_hybrid the classic recursion outranks the fused levels;
+  // tau_hybrid == 0 means "hybrid never won".
   p.tau_hybrid = 400;
-  EXPECT_EQ(core::tuned_path_for(p, 350, 350, 350, 1), TunedPath::fused_l2);
-  EXPECT_EQ(core::tuned_path_for(p, 450, 450, 450, 1), TunedPath::hybrid);
-  EXPECT_EQ(core::tuned_path_for(p, 600, 600, 600, 1), TunedPath::hybrid);
-  EXPECT_EQ(core::tuned_path_for(p, 600, 600, 600, 4), TunedPath::dag);
+  EXPECT_EQ(core::tuned_path_for(p, 350, 350, 350), TunedPath::fused_l2);
+  EXPECT_EQ(core::tuned_path_for(p, 450, 450, 450), TunedPath::hybrid);
+  EXPECT_EQ(core::tuned_path_for(p, 600, 600, 600), TunedPath::hybrid);
   p.tau_hybrid = 0;
-  EXPECT_EQ(core::tuned_path_for(p, 450, 450, 450, 1), TunedPath::fused_l2);
+  EXPECT_EQ(core::tuned_path_for(p, 450, 450, 450), TunedPath::fused_l2);
 
   // tau_fused2 == 0 means "two levels never won": stay at one level.
   p.tau_fused2 = 0;
-  p.tau_dag = 0;
-  EXPECT_EQ(core::tuned_path_for(p, 400, 400, 400, 8), TunedPath::fused_l1);
+  EXPECT_EQ(core::tuned_path_for(p, 400, 400, 400), TunedPath::fused_l1);
 
   // tau_fused == 0 means "fused from the first size": no GEMM regime.
   p.tau_fused = 0;
-  EXPECT_EQ(core::tuned_path_for(p, 8, 8, 8, 1), TunedPath::fused_l1);
-  EXPECT_EQ(core::tuned_path_for(p, 16, 16, 16, 1), TunedPath::fused_l1);
+  EXPECT_EQ(core::tuned_path_for(p, 8, 8, 8), TunedPath::fused_l1);
+  EXPECT_EQ(core::tuned_path_for(p, 16, 16, 16), TunedPath::fused_l1);
 }
 
 TEST(TunedPolicy, Strassen2OutranksHybridPastTauS2) {
@@ -212,19 +205,15 @@ TEST(TunedPolicy, Strassen2OutranksHybridPastTauS2) {
   p.tau_s2 = 800;
 
   using core::TunedPath;
-  EXPECT_EQ(core::tuned_path_for(p, 500, 500, 500, 1), TunedPath::hybrid);
-  EXPECT_EQ(core::tuned_path_for(p, 800, 800, 800, 1), TunedPath::hybrid);
-  EXPECT_EQ(core::tuned_path_for(p, 900, 900, 900, 1), TunedPath::strassen2);
-  // The DAG still outranks both recursion variants when workers exist.
-  p.tau_dag = 600;
-  EXPECT_EQ(core::tuned_path_for(p, 900, 900, 900, 4), TunedPath::dag);
-  EXPECT_EQ(core::tuned_path_for(p, 900, 900, 900, 1), TunedPath::strassen2);
+  EXPECT_EQ(core::tuned_path_for(p, 500, 500, 500), TunedPath::hybrid);
+  EXPECT_EQ(core::tuned_path_for(p, 800, 800, 800), TunedPath::hybrid);
+  EXPECT_EQ(core::tuned_path_for(p, 900, 900, 900), TunedPath::strassen2);
   // tau_s2 == 0: old criteria files without the key keep their routing.
   p.tau_s2 = 0;
-  EXPECT_EQ(core::tuned_path_for(p, 900, 900, 900, 1), TunedPath::hybrid);
+  EXPECT_EQ(core::tuned_path_for(p, 900, 900, 900), TunedPath::hybrid);
   // tau_s2 at the regime boundary: strassen2 from the first classic size.
   p.tau_s2 = p.tau_hybrid;
-  EXPECT_EQ(core::tuned_path_for(p, 450, 450, 450, 1), TunedPath::strassen2);
+  EXPECT_EQ(core::tuned_path_for(p, 450, 450, 450), TunedPath::strassen2);
 }
 
 // --- sweep reduction: the tuned path must never be the measured worst ------
@@ -244,8 +233,6 @@ double time_of_path(core::TunedPath path, const tuning::SchemePoint& t) {
       return t.hybrid;
     case core::TunedPath::strassen2:
       return t.s2;
-    case core::TunedPath::dag:
-      return t.dag;
   }
   return 0;
 }
@@ -257,7 +244,6 @@ core::TunedPolicy policy_from_crossovers(const tuning::SchemeCrossovers& x) {
   criteria.tau_fused2 = x.tau_fused2;
   criteria.tau_hybrid = x.tau_hybrid;
   criteria.tau_s2 = x.tau_s2;
-  criteria.tau_dag = x.tau_dag;
   return tuning::policy_from_criteria(criteria);
 }
 
@@ -274,13 +260,13 @@ core::TunedPolicy policy_from_crossovers(const tuning::SchemeCrossovers& x) {
 TEST(SchemeSweep, TunedPathIsNeverTheMeasuredWorstSchedule) {
   using tuning::SchemePoint;
   const std::vector<SchemePoint> sweep{
-      //   s   gemm fused1 fused2 hybrid   s2   dag
-      {128, 1.00, 1.10, 1.20, 1.40, 1.45, 1.50},
-      {256, 1.00, 0.95, 1.00, 1.25, 1.30, 1.20},
-      {512, 1.00, 0.92, 0.90, 1.10, 1.12, 1.00},
-      {1024, 1.00, 0.93, 0.91, 1.05, 0.96, 0.95},
-      {2048, 1.00, 0.95, 0.94, 1.08, 0.88, 0.90},
-      {4096, 1.00, 0.99, 0.98, 1.13, 0.85, 0.87},
+      //   s   gemm fused1 fused2 hybrid   s2
+      {128, 1.00, 1.10, 1.20, 1.40, 1.45},
+      {256, 1.00, 0.95, 1.00, 1.25, 1.30},
+      {512, 1.00, 0.92, 0.90, 1.10, 1.12},
+      {1024, 1.00, 0.93, 0.91, 1.05, 0.96},
+      {2048, 1.00, 0.95, 0.94, 1.08, 0.88},
+      {4096, 1.00, 0.99, 0.98, 1.13, 0.85},
   };
   const tuning::SchemeCrossovers x = tuning::reduce_scheme_sweep(sweep);
   // Structural expectations for this sweep: fused wins early, the classic
@@ -291,13 +277,10 @@ TEST(SchemeSweep, TunedPathIsNeverTheMeasuredWorstSchedule) {
   EXPECT_GE(x.tau_hybrid, 1024);
   EXPECT_LT(x.tau_hybrid, 2048);
   EXPECT_DOUBLE_EQ(x.tau_s2, x.tau_hybrid);  // s2 wins the whole regime
-  EXPECT_DOUBLE_EQ(x.tau_dag, 0);            // DAG never won (1-core host)
 
   const core::TunedPolicy p = policy_from_crossovers(x);
   for (const SchemePoint& t : sweep) {
-    // Serial routing (workers == 1): the DAG is not a candidate.
-    const core::TunedPath path =
-        core::tuned_path_for(p, t.s, t.s, t.s, 1);
+    const core::TunedPath path = core::tuned_path_for(p, t.s, t.s, t.s);
     const double worst =
         std::max({t.gemm, t.fused1, t.fused2, t.hybrid, t.s2});
     EXPECT_LT(time_of_path(path, t), worst)
@@ -306,9 +289,9 @@ TEST(SchemeSweep, TunedPathIsNeverTheMeasuredWorstSchedule) {
   }
   // The specific 4096-class shapes must route to the forced-STRASSEN2
   // recursion, not the automatic hybrid the old reduction picked.
-  EXPECT_EQ(core::tuned_path_for(p, 2048, 2048, 2048, 1),
+  EXPECT_EQ(core::tuned_path_for(p, 2048, 2048, 2048),
             core::TunedPath::strassen2);
-  EXPECT_EQ(core::tuned_path_for(p, 4096, 4096, 4096, 1),
+  EXPECT_EQ(core::tuned_path_for(p, 4096, 4096, 4096),
             core::TunedPath::strassen2);
 }
 
@@ -317,8 +300,8 @@ TEST(SchemeSweep, HybridNeverWinningDropsTauS2) {
   // Fused wins everywhere in range: no classic regime, so tau_s2 must be
   // dropped even though s2 beats the (also-losing) hybrid pointwise.
   const std::vector<SchemePoint> sweep{
-      {256, 1.00, 0.95, 0.97, 1.20, 1.10, 1.30},
-      {512, 1.00, 0.90, 0.88, 1.15, 1.05, 1.20},
+      {256, 1.00, 0.95, 0.97, 1.20, 1.10},
+      {512, 1.00, 0.90, 0.88, 1.15, 1.05},
   };
   const tuning::SchemeCrossovers x = tuning::reduce_scheme_sweep(sweep);
   EXPECT_DOUBLE_EQ(x.tau_hybrid, 0);
@@ -331,7 +314,6 @@ TEST(SchemeSweep, EmptySweepIsAllNever) {
   EXPECT_DOUBLE_EQ(x.tau_fused2, 0);
   EXPECT_DOUBLE_EQ(x.tau_hybrid, 0);
   EXPECT_DOUBLE_EQ(x.tau_s2, 0);
-  EXPECT_DOUBLE_EQ(x.tau_dag, 0);
 }
 
 TEST(TunedPolicy, InstallRejectsStaleKernelStamp) {
@@ -422,13 +404,12 @@ TEST(TunedPolicy, HybridPathRunsClassicRecursionAndMatchesReference) {
   core::clear_tuned_policy<double>();
 }
 
-TEST(TunedPolicy, ParallelEntryForwardsCallerArenaToSerialDelegation) {
+TEST(TunedPolicy, UseTunedGrowsTheCallerArena) {
   // Asserts the paper's serial recursion: pin the pool-aware depth to P = 1.
   core::detail::ScopedPoolWorkers serial_depth(1);
-  // The parallel driver owns only the DAG branch of a use_tuned call;
-  // every other path delegates to the serial driver. The delegation must
-  // forward the caller's arena -- dropping it silently re-allocates the
-  // whole recursion workspace on every call (the bug this test pins).
+  // A use_tuned call handed an empty caller arena must grow and draw from
+  // that arena -- dropping it would silently re-allocate the whole
+  // recursion workspace on every call.
   core::clear_tuned_policy<double>();
   tuning::TunedCriteria criteria;
   criteria.kernel = blas::active_kernel().name;
@@ -447,13 +428,13 @@ TEST(TunedPolicy, ParallelEntryForwardsCallerArenaToSerialDelegation) {
   fill(c_ref.view(), 0.0);
   Arena arena;
   core::DgefmmStats stats;
-  parallel::ParallelDgefmmConfig cfg;
+  core::DgefmmConfig cfg;
   cfg.use_tuned = true;
   cfg.workspace = &arena;
   cfg.stats = &stats;
-  ASSERT_EQ(parallel::dgefmm_parallel(Trans::no, Trans::no, s, s, s, 1.0,
-                                      a.data(), a.ld(), b.data(), b.ld(),
-                                      0.0, c.data(), c.ld(), cfg),
+  ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, s, s, s, 1.0, a.data(),
+                         a.ld(), b.data(), b.ld(), 0.0, c.data(), c.ld(),
+                         cfg),
             0);
   EXPECT_STREQ(stats.tuned_path, "hybrid");
   // The serial recursion drew its workspace from the arena we passed.
@@ -533,8 +514,7 @@ TEST(Autotune, TinyBudgetProducesInstallableCriteria) {
   EXPECT_EQ(criteria.kernel, blas::active_kernel().name);
   EXPECT_GE(criteria.tau_fused, 1.0);  // never 0: gemm always wins somewhere
   EXPECT_GE(criteria.tau_fused2, 0.0);
-  EXPECT_GE(criteria.tau_dag, 0.0);
-  EXPECT_GT(criteria.threads, 0);
+  EXPECT_GE(criteria.tau_hybrid, 0.0);
   EXPECT_TRUE(criteria.matches_active_kernel());
   ASSERT_TRUE(tuning::install_criteria(criteria));
   core::clear_tuned_policy<double>();

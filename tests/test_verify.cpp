@@ -25,7 +25,6 @@
 #include "support/random.hpp"
 #include "verify/pebble.hpp"
 #include "verify/proofs.hpp"
-#include "verify/schedule_dag.hpp"
 #include "verify/schedule_ir.hpp"
 #include "verify/symbolic.hpp"
 
@@ -362,50 +361,6 @@ TEST(IrOpcount, FootprintDrivesWorkspacePredictor) {
               v::footprint_doubles(cs.table->footprint, m2, k2, n2))
         << cs.table->name;
   }
-}
-
-// --- task-DAG linear-extension lemma ---------------------------------------
-//
-// schedule_dag.hpp static_asserts that the executor's fixed ascending
-// combine order is a linear extension of both shipped DAGs; these tests
-// exercise the checker itself at run time, including orders and tables it
-// must reject (the compile-time proof only ever sees passing inputs).
-
-TEST(ScheduleDagOrder, AscendingOrderIsLinearExtension) {
-  EXPECT_TRUE(v::order_is_linear_extension(
-      v::kDagL1, v::ascending_order<v::kFusedL1Products, 4>()));
-  EXPECT_TRUE(v::order_is_linear_extension(
-      v::kDagL2, v::ascending_order<v::kFusedL2Products, 16>()));
-}
-
-TEST(ScheduleDagOrder, CombineBeforeProducerIsRejected) {
-  // Move block 0's combine node in front of one of its producers: the
-  // order stays a permutation but breaks exactly one dependency edge.
-  auto order = v::ascending_order<v::kFusedL1Products, 4>();
-  const int combine0 = v::kFusedL1Products;
-  const int producer = v::kDagL1.terms[v::kDagL1.term_begin[0]].product;
-  std::swap(order.at[producer], order.at[combine0]);
-  EXPECT_FALSE(v::order_is_linear_extension(v::kDagL1, order));
-}
-
-TEST(ScheduleDagOrder, NonPermutationIsRejected) {
-  auto dup = v::ascending_order<v::kFusedL1Products, 4>();
-  dup.at[0] = dup.at[1];
-  EXPECT_FALSE(v::order_is_linear_extension(v::kDagL1, dup));
-
-  auto oob = v::ascending_order<v::kFusedL2Products, 16>();
-  oob.at[0] = v::kFusedL2Products + 16;
-  EXPECT_FALSE(v::order_is_linear_extension(v::kDagL2, oob));
-}
-
-TEST(ScheduleDagOrder, ReorderedCombineListIsRejected) {
-  // A combine list that is not ascending in product index no longer
-  // matches the deterministic application order the lemma certifies.
-  auto dag = v::kDagL1;
-  std::swap(dag.terms[dag.term_begin[0]], dag.terms[dag.term_begin[0] + 1]);
-  EXPECT_FALSE(v::dag_covers_table(dag, v::kFusedL1));
-  EXPECT_TRUE(v::order_is_linear_extension(
-      dag, v::ascending_order<v::kFusedL1Products, 4>()));
 }
 
 }  // namespace

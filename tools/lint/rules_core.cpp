@@ -10,7 +10,7 @@ namespace lint {
 // The computational subsystems (src/core, src/blas, src/compare) draw every
 // temporary from the Arena / the pack scratch. Raw `new`, malloc/calloc,
 // and growable std::vector use there would silently break the
-// measured-workspace story (Table 1). tuning/, parallel/, eigen/, solver/
+// measured-workspace story (Table 1). tuning/, serve/, eigen/, solver/
 // legitimately use containers for non-numeric bookkeeping and are exempt,
 // as is support/ which implements the allocators themselves.
 
@@ -65,15 +65,10 @@ void rule_nofail_regions(const SourceFile& f, Sink& sink) {
   static const char* kFallible[] = {
       ".alloc(",  "->alloc(",  ".reserve(", "->reserve(",
       ".probe(",  "->probe(",  "ensure_pack_capacity(", "AlignedBuffer(",
-      // The pool-worker warm-up and the throwing batch entry points are
-      // acquisitions too: each may throw bad_alloc or TaskError. Only
-      // run_batch_nofail is sanctioned inside a no-fail region.
+      // The pool-worker warm-up is an acquisition too: it may throw
+      // bad_alloc or TaskError. Only run_batch_nofail is sanctioned inside
+      // a no-fail region.
       "ensure_pack_capacity_all_workers(", "run_on_each_worker(",
-      "run_batch(",
-      // DagRun construction allocates every piece of scheduling state a
-      // run_dag call needs; like run_batch it belongs to the pre-flight,
-      // never inside a no-fail region (run_dag itself is sanctioned).
-      "DagRun(",
       // Serving-layer acquisitions: Queue submission allocates request
       // state and may block or throw per the overflow policy, and a pool
       // carve is exactly the fallible step admission control exists to
@@ -143,9 +138,8 @@ namespace {
 // A dispatch token marks the first point at which C may be written.
 bool is_dispatch(const std::string& line) {
   static const char* kDispatch[] = {
-      "detail::fmm(", "fmm_fused(",    "pad_static(",
-      "gemm_view(",   "run_task_dag(", "blas::dgemm(",
-      "blas::sgemm(", "dispatch_request(",
+      "detail::fmm(",  "fmm_fused(",        "pad_static(",  "gemm_view(",
+      "blas::dgemm(",  "blas::sgemm(",      "dispatch_request(",
   };
   for (const char* tok : kDispatch) {
     if (has_token(line, tok)) return true;
@@ -160,8 +154,7 @@ void rule_acquire_before_dispatch(const SourceFile& f, Sink& sink) {
       ".reserve(", "->reserve(",           ".probe(",       "->probe(",
       ".alloc(",   "->alloc(",             "AlignedBuffer(",
       "ensure_pack_capacity(",             "run_on_each_worker(",
-      "ensure_pack_capacity_all_workers(", "run_batch(",
-      "DagRun(",   ".submit(",             "->submit(",
+      "ensure_pack_capacity_all_workers(", ".submit(", "->submit(",
       "try_acquire(",                      "advise_huge_pages(",
       "save_criteria_file(",               "load_criteria_file(",
       "pack_operand(", "gefmm_pack_a(",    "gefmm_pack_b(",
@@ -182,8 +175,7 @@ void rule_acquire_before_dispatch(const SourceFile& f, Sink& sink) {
       // execute_request is the serving worker's driver: it carves the
       // request's lease from the pool before dispatch_request writes C.
       static const char* kDriverNames[] = {
-          "dgefmm", "sgefmm", "gefmm_view_t", "gefmm_t", "gefmm_parallel_t",
-          "execute_request",
+          "dgefmm", "sgefmm", "gefmm_view_t", "gefmm_t", "execute_request",
       };
       for (const char* name : kDriverNames) {
         const std::size_t pos = line.find(name);
@@ -264,9 +256,6 @@ constexpr NodiscardEntry kNodiscardTable[] = {
     {"core/workspace.hpp", "count_t workspace_doubles("},
     {"core/workspace.hpp", "count_t workspace_doubles_at("},
     {"core/workspace.hpp", "count_t workspace_floats("},
-    {"core/workspace.hpp", "count_t parallel_workspace_doubles("},
-    {"core/workspace.hpp", "count_t parallel_workspace_floats("},
-    {"parallel/task_dag.hpp", "DagPlan plan_dag("},
     {"support/arena.hpp", "T* alloc("},
     {"support/arena_pool.hpp", "PoolLeaseT<T> try_acquire("},
     {"serve/serve.hpp", "TicketT<T> submit("},
