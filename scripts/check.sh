@@ -83,14 +83,16 @@ for preset in release asan; do
   done
 done
 
-# Gemm-thread matrix: the suites that fan the packed loop and the quadrant
-# adds out over the pool (2-D row/column partition, prepacked streams,
-# fault sweeps, the float twins) re-run with the per-thread width pinned by
+# Gemm-thread matrix: the suites that fan the packed loop, the quadrant
+# adds and the peel fix-ups out over the pool (2-D row/column partition,
+# prepacked streams, fault sweeps, the float twins, the odd-size and
+# op-count suites whose global counters a racing fix-up task would
+# corrupt) re-run with the per-thread width pinned by
 # environment -- serial, an odd width whose partitions all end in a
 # remainder task, and the default (pool size) -- under release and (for
 # the data races a wrong partition would introduce) tsan. Results must be
 # bitwise identical in every cell (DESIGN.md section 7.6).
-gemm_thread_suites='test_kernels|test_parallel|test_faults|test_sgefmm|prepack'
+gemm_thread_suites='test_kernels|test_parallel|test_faults|test_sgefmm|prepack|test_core|test_opcount'
 for preset in release tsan; do
   for threads in 1 3 default; do
     echo "== gemm-thread matrix: ${preset} / threads=${threads} =="

@@ -1,5 +1,6 @@
 #include "blas/level2.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <type_traits>
 
@@ -8,12 +9,12 @@
 
 namespace strassen::blas {
 
-namespace {
+namespace detail {
 
 template <class T>
-void gemv_t(Trans trans, index_t m, index_t n, T alpha, const T* a,
-            index_t lda, const T* x, index_t incx, T beta, T* y,
-            index_t incy) {
+void gemv_uncounted(Trans trans, index_t m, index_t n, T alpha, const T* a,
+                    index_t lda, const T* x, index_t incx, T beta, T* y,
+                    index_t incy) {
   assert(m >= 0 && n >= 0 && lda >= (m > 0 ? m : 1));
   const index_t ylen = is_trans(trans) ? n : m;
   if (ylen == 0) return;
@@ -48,22 +49,69 @@ void gemv_t(Trans trans, index_t m, index_t n, T alpha, const T* a,
       }
     }
   }
-  opcount::record_gemv(m, n);
+}
+
+template <class T>
+void ger_uncounted(index_t m, index_t n, T alpha, const T* x, index_t incx,
+                   const T* y, index_t incy, T* a, index_t lda) {
+  assert(m >= 0 && n >= 0 && lda >= (m > 0 ? m : 1));
+  if (m == 0 || n == 0 || alpha == T(0)) return;
+  // Row blocks of x, each swept across every column. A strided x (a row of
+  // a transposed operand) puts each element on its own page, so it is
+  // gathered once per block into a stack array instead of being reread for
+  // every column. Each a(i,j) takes the one AXPY update
+  // a(i,j) += (alpha*y_j) * x_i, skipped where alpha*y_j == 0 as AXPY does.
+  constexpr index_t kRows = 512;
+  T xb[kRows];
+  for (index_t i0 = 0; i0 < m; i0 += kRows) {
+    const index_t mb = std::min(kRows, m - i0);
+    const T* xs = x + i0;
+    if (incx != 1) {
+      for (index_t i = 0; i < mb; ++i) xb[i] = x[(i0 + i) * incx];
+      xs = xb;
+    }
+    for (index_t j = 0; j < n; ++j) {
+      const T s = alpha * y[j * incy];
+      if (s == T(0)) continue;
+      T* aj = a + i0 + j * lda;
+      for (index_t i = 0; i < mb; ++i) aj[i] += s * xs[i];
+    }
+  }
+}
+
+template void gemv_uncounted<double>(Trans, index_t, index_t, double,
+                                     const double*, index_t, const double*,
+                                     index_t, double, double*, index_t);
+template void gemv_uncounted<float>(Trans, index_t, index_t, float,
+                                    const float*, index_t, const float*,
+                                    index_t, float, float*, index_t);
+template void ger_uncounted<double>(index_t, index_t, double, const double*,
+                                    index_t, const double*, index_t, double*,
+                                    index_t);
+template void ger_uncounted<float>(index_t, index_t, float, const float*,
+                                   index_t, const float*, index_t, float*,
+                                   index_t);
+
+}  // namespace detail
+
+namespace {
+
+template <class T>
+void gemv_t(Trans trans, index_t m, index_t n, T alpha, const T* a,
+            index_t lda, const T* x, index_t incx, T beta, T* y,
+            index_t incy) {
+  detail::gemv_uncounted<T>(trans, m, n, alpha, a, lda, x, incx, beta, y,
+                            incy);
+  if ((is_trans(trans) ? n : m) > 0 && alpha != T(0) && m > 0 && n > 0) {
+    opcount::record_gemv(m, n);
+  }
 }
 
 template <class T>
 void ger_t(index_t m, index_t n, T alpha, const T* x, index_t incx,
            const T* y, index_t incy, T* a, index_t lda) {
-  assert(m >= 0 && n >= 0 && lda >= (m > 0 ? m : 1));
-  if (m == 0 || n == 0 || alpha == T(0)) return;
-  for (index_t j = 0; j < n; ++j) {
-    if constexpr (std::is_same_v<T, float>) {
-      saxpy(m, alpha * y[j * incy], x, incx, a + j * lda, 1);
-    } else {
-      daxpy(m, alpha * y[j * incy], x, incx, a + j * lda, 1);
-    }
-  }
-  opcount::record_ger(m, n);
+  detail::ger_uncounted<T>(m, n, alpha, x, incx, y, incy, a, lda);
+  if (m > 0 && n > 0 && alpha != T(0)) opcount::record_ger(m, n);
 }
 
 }  // namespace

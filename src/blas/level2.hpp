@@ -25,4 +25,20 @@ void dger(index_t m, index_t n, double alpha, const double* x, index_t incx,
 void sger(index_t m, index_t n, float alpha, const float* x, index_t incx,
           const float* y, index_t incy, float* a, index_t lda);
 
+namespace detail {
+
+/// The xGEMV and xGER arithmetic without their opcount record, for callers
+/// that split one logical call into independent output ranges and record
+/// it once themselves (the counters are plain globals, so recording from
+/// pool tasks would race). Instantiated for double and float.
+template <class T>
+void gemv_uncounted(Trans trans, index_t m, index_t n, T alpha, const T* a,
+                    index_t lda, const T* x, index_t incx, T beta, T* y,
+                    index_t incy);
+template <class T>
+void ger_uncounted(index_t m, index_t n, T alpha, const T* x, index_t incx,
+                   const T* y, index_t incy, T* a, index_t lda);
+
+}  // namespace detail
+
 }  // namespace strassen::blas

@@ -113,10 +113,12 @@ int& gemm_threads_slot() {
 // break even late: row splits at about 2^20 multiply-adds per iteration,
 // column splits (whose shared A block is packed serially first) at
 // 2^21.5-2^22.5, and below that run at 0.6-0.9x of serial. Thin products
-// that stream a large operand from memory -- the peel fix-ups, n or k of
-// 1-4 against a 1023-2047 square -- run 2-5x faster split at the same
-// counts. One gate on multiply-adds cannot serve both; 2^18 keeps the thin
-// products parallel at the price of the compute-bound band above.
+// that stream a large operand from memory -- n or k of 1-4 against a
+// 1023-2047 square -- run 2-5x faster split at the same counts. One gate
+// on multiply-adds cannot serve both; 2^18 keeps the thin products
+// parallel at the price of the compute-bound band above. (The peel
+// fix-ups are DGER/DGEMV calls that never reach this loop; they split
+// under the elementwise gate, core::kMinPassElems.)
 constexpr count_t kMinTaskFmas = count_t{1} << 18;
 
 // Smallest per-task share of a B block worth packing cooperatively, in

@@ -1,55 +1,30 @@
 #include "core/add_kernels.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "blas/kernels.hpp"
-#include "blas/packed_loop.hpp"
 #include "support/opcount.hpp"
-#include "support/thread_pool.hpp"
 
 namespace strassen::core {
 
 namespace {
 
-// Smallest per-task share of one elementwise pass worth a fan-out, in
-// destination elements. Measured on a 4-vCPU AVX-512 Xeon by timing
-// cache-resident square add passes with the gate removed at 1, 2 and 4
-// tasks: a batch costs 15-25 us, so splitting 2^16 elements runs at
-// 0.6-0.7x of serial, 2^16.5 at 1.4-1.6x and 2^17 at 2.2-2.6x. 2^15 per
-// task first splits at 2^16, which leaves the loss band narrow and errs
-// toward splitting the quadrant operands that come from memory.
-constexpr count_t kMinAddElems = count_t{1} << 15;
-
-// Runs body(j0, j1) over contiguous column ranges covering [0, cols) of a
-// rows x cols elementwise pass: on the calling thread for small passes,
-// otherwise fanned out over the global pool (blas::intra_op_tasks, the
-// packed loop's resolution of the calling thread's gemm-thread setting).
-// Every element is computed by exactly one task with the serial
-// arithmetic, so the result is bitwise independent of the split. Opcount
-// recording stays with the caller.
-template <class F>
-void for_column_ranges(index_t rows, index_t cols, F&& body) {
-  const count_t elems = static_cast<count_t>(rows) * cols;
-  const int nt =
-      blas::intra_op_tasks(std::min<count_t>(cols, elems / kMinAddElems));
-  if (nt <= 1) {
-    body(index_t{0}, cols);
-    return;
-  }
-  parallel::run_ranges_nofail(parallel::global_pool(), cols, 1, nt, body);
+template <class T>
+count_t elems(BasicView<T> d) {
+  return static_cast<count_t>(d.rows) * d.cols;
 }
 
 // Applies `op(d_elem, x_elem, y_elem)` over all elements: the strided
-// fallback for transposed operands. The destination is required to be
-// column-major so the inner loop is unit-stride on d.
+// fallback for sources whose orientation differs from the destination's
+// (the padding copies of a transposed operand). The destination is
+// required to be column-major so the inner loop is unit-stride on d.
 template <class T, class F>
 void zip2(BasicView<const T> x, BasicView<const T> y, BasicView<T> d,
           F&& op) {
   assert(x.rows == d.rows && x.cols == d.cols);
   assert(y.rows == d.rows && y.cols == d.cols);
   assert(d.col_major());
-  for_column_ranges(d.rows, d.cols, [&](index_t j0, index_t j1) {
+  for_pass_ranges(d.cols, elems(d), [&](index_t j0, index_t j1) {
     for (index_t j = j0; j < j1; ++j) {
       T* dj = d.p + j * d.cs;
       const T* xj = x.p + j * x.cs;
@@ -65,7 +40,7 @@ template <class T, class F>
 void zip1(BasicView<T> d, BasicView<const T> x, F&& op) {
   assert(x.rows == d.rows && x.cols == d.cols);
   assert(d.col_major());
-  for_column_ranges(d.rows, d.cols, [&](index_t j0, index_t j1) {
+  for_pass_ranges(d.cols, elems(d), [&](index_t j0, index_t j1) {
     for (index_t j = j0; j < j1; ++j) {
       T* dj = d.p + j * d.cs;
       const T* xj = x.p + j * x.cs;
@@ -78,16 +53,16 @@ void zip1(BasicView<T> d, BasicView<const T> x, F&& op) {
 
 // Columnwise dispatch through the active micro-kernel's contiguous vector
 // helpers (blas/kernels.hpp). Callers check that every operand column is
-// unit-stride before routing here; transposed operands (rs != 1) take the
-// zip fallbacks above. The helpers live in the ISA-specific kernel TUs, so
-// the combines run at the same vector width as the GEMM itself.
+// unit-stride before routing here; mixed-orientation passes (rs != 1) take
+// the zip fallbacks above. The helpers live in the ISA-specific kernel
+// TUs, so the combines run at the same vector width as the GEMM itself.
 template <class T, class F>
 void cols2(BasicView<const T> x, BasicView<const T> y, BasicView<T> d,
            F&& col) {
   assert(x.rows == d.rows && x.cols == d.cols);
   assert(y.rows == d.rows && y.cols == d.cols);
   assert(d.col_major());
-  for_column_ranges(d.rows, d.cols, [&](index_t j0, index_t j1) {
+  for_pass_ranges(d.cols, elems(d), [&](index_t j0, index_t j1) {
     for (index_t j = j0; j < j1; ++j) {
       col(x.p + j * x.cs, y.p + j * y.cs, d.p + j * d.cs, d.rows);
     }
@@ -98,20 +73,24 @@ template <class T, class F>
 void cols1(BasicView<T> d, BasicView<const T> x, F&& col) {
   assert(x.rows == d.rows && x.cols == d.cols);
   assert(d.col_major());
-  for_column_ranges(d.rows, d.cols, [&](index_t j0, index_t j1) {
+  for_pass_ranges(d.cols, elems(d), [&](index_t j0, index_t j1) {
     for (index_t j = j0; j < j1; ++j) {
       col(x.p + j * x.cs, d.p + j * d.cs, d.rows);
     }
   });
 }
 
-template <class T>
-count_t elems(BasicView<T> d) {
-  return static_cast<count_t>(d.rows) * d.cols;
-}
-
+// Every pass below first transposes all of its views when d is row-major
+// (the transpose of a column-major d over the same storage), so it always
+// runs down d's storage order: a row-major d with row-major sources (the
+// Strassen sums of a transposed operand) reaches the unit-stride vector
+// helpers.
 template <class T>
 void add_t(BasicView<const T> x, BasicView<const T> y, BasicView<T> d) {
+  if (!d.col_major()) {
+    add_t<T>(x.transposed(), y.transposed(), d.transposed());
+    return;
+  }
   if (x.rs == 1 && y.rs == 1) {
     const blas::KernelInfoT<T>& kv = blas::active_kernel_t<T>();
     cols2<T>(x, y, d, [&](const T* xc, const T* yc, T* dc, index_t n) {
@@ -125,6 +104,10 @@ void add_t(BasicView<const T> x, BasicView<const T> y, BasicView<T> d) {
 
 template <class T>
 void sub_t(BasicView<const T> x, BasicView<const T> y, BasicView<T> d) {
+  if (!d.col_major()) {
+    sub_t<T>(x.transposed(), y.transposed(), d.transposed());
+    return;
+  }
   if (x.rs == 1 && y.rs == 1) {
     const blas::KernelInfoT<T>& kv = blas::active_kernel_t<T>();
     cols2<T>(x, y, d, [&](const T* xc, const T* yc, T* dc, index_t n) {
@@ -138,6 +121,10 @@ void sub_t(BasicView<const T> x, BasicView<const T> y, BasicView<T> d) {
 
 template <class T>
 void add_inplace_t(BasicView<T> d, BasicView<const T> x) {
+  if (!d.col_major()) {
+    add_inplace_t<T>(d.transposed(), x.transposed());
+    return;
+  }
   if (x.rs == 1) {
     const blas::KernelInfoT<T>& kv = blas::active_kernel_t<T>();
     cols1<T>(d, x, [&](const T* xc, T* dc, index_t n) {
@@ -151,6 +138,10 @@ void add_inplace_t(BasicView<T> d, BasicView<const T> x) {
 
 template <class T>
 void sub_inplace_t(BasicView<T> d, BasicView<const T> x) {
+  if (!d.col_major()) {
+    sub_inplace_t<T>(d.transposed(), x.transposed());
+    return;
+  }
   if (x.rs == 1) {
     const blas::KernelInfoT<T>& kv = blas::active_kernel_t<T>();
     cols1<T>(d, x, [&](const T* xc, T* dc, index_t n) {
@@ -164,6 +155,10 @@ void sub_inplace_t(BasicView<T> d, BasicView<const T> x) {
 
 template <class T>
 void rsub_inplace_t(BasicView<T> d, BasicView<const T> x) {
+  if (!d.col_major()) {
+    rsub_inplace_t<T>(d.transposed(), x.transposed());
+    return;
+  }
   if (x.rs == 1) {
     const blas::KernelInfoT<T>& kv = blas::active_kernel_t<T>();
     cols1<T>(d, x, [&](const T* xc, T* dc, index_t n) {
@@ -177,6 +172,10 @@ void rsub_inplace_t(BasicView<T> d, BasicView<const T> x) {
 
 template <class T>
 void copy_into_t(BasicView<const T> x, BasicView<T> d) {
+  if (!d.col_major()) {
+    copy_into_t<T>(x.transposed(), d.transposed());
+    return;
+  }
   // vaxpby with b == 0 never reads d, so this is safe even when d is
   // uninitialized arena storage.
   if (x.rs == 1) {
@@ -191,6 +190,10 @@ void copy_into_t(BasicView<const T> x, BasicView<T> d) {
 
 template <class T>
 void axpy_t(T a, BasicView<const T> x, BasicView<T> d) {
+  if (!d.col_major()) {
+    axpy_t<T>(a, x.transposed(), d.transposed());
+    return;
+  }
   if (a == T(0)) return;
   if (a == T(1)) {
     add_inplace_t<T>(d, x);
@@ -214,8 +217,12 @@ void axpy_t(T a, BasicView<const T> x, BasicView<T> d) {
 
 template <class T>
 void scale_t(T b, BasicView<T> d) {
+  if (!d.col_major()) {
+    scale_t<T>(b, d.transposed());
+    return;
+  }
   if (b == T(1)) return;
-  for_column_ranges(d.rows, d.cols, [&](index_t j0, index_t j1) {
+  for_pass_ranges(d.cols, elems(d), [&](index_t j0, index_t j1) {
     for (index_t j = j0; j < j1; ++j) {
       T* dj = d.p + j * d.cs;
       if (b == T(0)) {
@@ -230,6 +237,10 @@ void scale_t(T b, BasicView<T> d) {
 
 template <class T>
 void axpby_t(T a, BasicView<const T> x, T b, BasicView<T> d) {
+  if (!d.col_major()) {
+    axpby_t<T>(a, x.transposed(), b, d.transposed());
+    return;
+  }
   if (b == T(0)) {
     if (a == T(1)) {
       copy_into_t<T>(x, d);
@@ -264,10 +275,10 @@ void axpby_t(T a, BasicView<const T> x, T b, BasicView<T> d) {
 
 }  // namespace
 
-int max_pass_tasks(count_t elems) {
-  // for_column_ranges splits a pass over `elems` elements at most this
+int max_pass_tasks(count_t n) {
+  // for_pass_ranges splits a pass over `n` elements at most this
   // wide (its column clamp only narrows it).
-  return blas::intra_op_tasks(elems / kMinAddElems);
+  return blas::intra_op_tasks(n / kMinPassElems);
 }
 
 void add(ConstView x, ConstView y, MutView d) { add_t<double>(x, y, d); }

@@ -1,12 +1,16 @@
 // Elementwise matrix kernels used by the Strassen schedules.
 //
 // These are the G(m,n)-cost passes of the operation-count model: each call
-// makes exactly one pass over its operands. Destinations are always plain
-// column-major (workspace temporaries or quadrants of C); sources may be
-// transposed views so that op(A)/op(B) never require a physical transpose.
-// Each routine is a double/float overload pair over one shared template, so
-// both precisions run identical passes through the active kernel family's
-// vector helpers. Large passes split by column over the global thread pool
+// makes exactly one pass over its operands. Destinations are column-major
+// (quadrants of C, product temporaries) or row-major (the sums of a
+// transposed operand); sources may be transposed views so that op(A)/op(B)
+// never require a physical transpose. A pass runs down its destination's
+// storage order, so it is unit-stride whenever every source shares the
+// destination's orientation; only mixed-orientation passes (the padding
+// copies) take a strided fallback. Each routine is a double/float overload
+// pair over one shared template, so both precisions run identical passes
+// through the active kernel family's vector helpers. Large passes split by
+// column (of the destination's storage) over the global thread pool
 // under the calling thread's gemm-thread setting (blas::intra_op_tasks,
 // the packed loop's resolution); every element keeps its serial
 // arithmetic, so results are bitwise independent of the split. Callers in
@@ -14,9 +18,41 @@
 // (which constructs the pool).
 #pragma once
 
+#include <algorithm>
+
+#include "blas/packed_loop.hpp"
 #include "support/matrix.hpp"
+#include "support/thread_pool.hpp"
 
 namespace strassen::core {
+
+/// Smallest per-task share of one memory-bound pass worth a fan-out, in
+/// elements. Measured on a 4-vCPU AVX-512 Xeon by timing cache-resident
+/// square add passes with the gate removed at 1, 2 and 4 tasks: a batch
+/// costs 15-25 us, so splitting 2^16 elements runs at 0.6-0.7x of serial,
+/// 2^16.5 at 1.4-1.6x and 2^17 at 2.2-2.6x. 2^15 per task first splits at
+/// 2^16, which leaves the loss band narrow and errs toward splitting the
+/// quadrant operands that come from memory.
+inline constexpr count_t kMinPassElems = count_t{1} << 15;
+
+/// Runs body(lo, hi) over contiguous ranges covering [0, units) of a pass
+/// over `elems` elements: on the calling thread for small passes,
+/// otherwise fanned out over the global pool (blas::intra_op_tasks, the
+/// packed loop's resolution of the calling thread's gemm-thread setting).
+/// Callers split along independent output ranges and compute every
+/// element with the serial arithmetic, so results are bitwise independent
+/// of the split; opcount recording stays with the caller (the counters
+/// are plain globals).
+template <class F>
+void for_pass_ranges(index_t units, count_t elems, F&& body) {
+  const int nt =
+      blas::intra_op_tasks(std::min<count_t>(units, elems / kMinPassElems));
+  if (nt <= 1) {
+    body(index_t{0}, units);
+    return;
+  }
+  parallel::run_ranges_nofail(parallel::global_pool(), units, 1, nt, body);
+}
 
 /// Widest column split any elementwise pass over at most `elems` elements
 /// can take under the calling thread's gemm-thread setting. Like the

@@ -17,23 +17,28 @@
 
 namespace strassen::core {
 
-/// y <- alpha * A x + beta * y for a (possibly transposed) view A and
-/// strided vectors. Dispatches to blas::dgemv / blas::sgemv.
-void gemv_view(double alpha, ConstView a, const double* x, index_t incx,
-               double beta, double* y, index_t incy);
-void gemv_view(float alpha, ConstViewF a, const float* x, index_t incx,
-               float beta, float* y, index_t incy);
-
 /// Applies the peeling fix-ups for C = alpha*A*B + beta*C where the
 /// (me x ke x ne) even core has already been computed into C(0:me, 0:ne)
 /// (including its beta contribution). A is m x k, B is k x n, C is m x n
-/// logical views; me = m or m-1, etc.
+/// logical views; me = m or m-1, etc. a_temp / b_temp mark an operand that
+/// is a workspace temporary: its GEMV fix-up keeps the arithmetic of a
+/// column-major operand whatever the temporary's storage orientation, so
+/// C's bits do not depend on how the schedules store their sums.
+///
+/// Each fix-up is split over independent output ranges on the global pool
+/// (the DGER by columns of C, each DGEMV by entries of y) under the calling
+/// thread's gemm-thread setting, gated like the quadrant adds; every
+/// element keeps its serial arithmetic, so C is bitwise independent of the
+/// split. A caller in a no-fail region must have built the pool in its
+/// pre-flight (max_pass_tasks over the largest operand).
 ///
 /// Returns the number of fix-up operations performed (0 when all dimensions
 /// were already even).
 int peel_fixups(double alpha, ConstView a, ConstView b, double beta, MutView c,
-                index_t me, index_t ke, index_t ne);
+                index_t me, index_t ke, index_t ne, bool a_temp = false,
+                bool b_temp = false);
 int peel_fixups(float alpha, ConstViewF a, ConstViewF b, float beta,
-                MutViewF c, index_t me, index_t ke, index_t ne);
+                MutViewF c, index_t me, index_t ke, index_t ne,
+                bool a_temp = false, bool b_temp = false);
 
 }  // namespace strassen::core

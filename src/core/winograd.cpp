@@ -23,12 +23,12 @@ void run_ir_schedule(const verify::Schedule& s, T alpha, BasicView<const T> a,
   // Arena temporaries, allocated in declaration order so the arena layout
   // (and with it the workspace accounting that verify::footprint_doubles
   // charges, an element count shared by both precisions) is deterministic.
-  // The dual-role STRASSEN1 X buffer is the only temporary whose logical
-  // shape changes between writes, hence the per-temp current extents.
+  // Each temporary keeps the view of its latest write: the dual-role
+  // STRASSEN1 X buffer changes logical shape between writes, and any
+  // temporary may change storage orientation (see dst below).
   T* tbuf[v::kMaxTemps] = {};
   index_t tld[v::kMaxTemps] = {};
-  index_t trows[v::kMaxTemps] = {};
-  index_t tcols[v::kMaxTemps] = {};
+  BasicView<T> tview[v::kMaxTemps] = {};
   for (int d = 0; d < s.ntemps; ++d) {
     const v::TempDecl& td = s.temps[d];
     const int t = td.reg - v::kT0;
@@ -56,18 +56,24 @@ void run_ir_schedule(const verify::Schedule& s, T alpha, BasicView<const T> a,
       return b.block((q >> 1) * k2, (q & 1) * n2, k2, n2);
     }
     if (reg < v::kT0) return cquad(reg - v::kC11);
-    const int t = reg - v::kT0;
-    return make_view(static_cast<const T*>(tbuf[t]), trows[t], tcols[t],
-                     tld[t]);
+    return tview[reg - v::kT0];
   };
-  const auto dst = [&](int reg, index_t r, index_t cl) -> BasicView<T> {
+  // Storage orientation is decided per write. A sum whose sources are all
+  // row-major (the quadrants of a transposed operand and the sums formed
+  // from them) is written row-major into the same r*cl elements, so its
+  // pass runs unit-stride instead of gathering down the source rows; the
+  // products pack either orientation into the same bytes. Products and
+  // every other write are column-major, as gemm_view requires of C. A
+  // write that reads its own destination keeps the orientation it has.
+  const auto dst = [&](int reg, index_t r, index_t cl,
+                       bool row_major) -> BasicView<T> {
     if (reg >= v::kT0) {
       const int t = reg - v::kT0;
-      trows[t] = r;
-      tcols[t] = cl;
-      return make_view(tbuf[t], r, cl, tld[t]);
+      tview[t] = row_major ? BasicView<T>{tbuf[t], r, cl, cl > 0 ? cl : 1, 1}
+                           : make_view(tbuf[t], r, cl, tld[t]);
+      return tview[t];
     }
-    assert(reg >= v::kC11 && r == m2 && cl == n2);
+    assert(reg >= v::kC11 && r == m2 && cl == n2 && !row_major);
     return cquad(reg - v::kC11);
   };
   // Numeric value of a coefficient at this level's beta. The IR stores
@@ -89,17 +95,21 @@ void run_ir_schedule(const verify::Schedule& s, T alpha, BasicView<const T> a,
     if (st.op == v::Op::mul) {
       const BasicView<const T> x = src(st.x);
       const BasicView<const T> y = src(st.y);
-      BasicView<T> d = dst(st.dst, x.rows, y.cols);
+      assert(coef(st.bc) == T(0) || src(st.dst).col_major());
+      BasicView<T> d = dst(st.dst, x.rows, y.cols, false);
       fmm(static_cast<T>(st.am) * alpha, x, y, coef(st.bc), d, ctx,
           depth + 1);
       continue;
     }
     int self = -1;
+    bool row_major = st.dst >= v::kT0;
     for (int t = 0; t < st.nt; ++t) {
       if (st.t[t].reg == st.dst) self = t;
+      row_major = row_major && !src(st.t[t].reg).col_major();
     }
     const BasicView<const T> s0 = src(st.t[0].reg);
-    BasicView<T> d = dst(st.dst, s0.rows, s0.cols);
+    if (self >= 0) row_major = !src(st.dst).col_major();
+    BasicView<T> d = dst(st.dst, s0.rows, s0.cols, row_major);
     if (self < 0) {
       if (st.nt == 1 && st.t[0].c.s == v::Sym::one && st.t[0].c.v == 1.0) {
         copy_into(s0, d);
@@ -240,7 +250,9 @@ void fmm(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
   run_schedule(alpha, a.block(0, 0, me, ke), b.block(0, 0, ke, ne), beta,
                c.block(0, 0, me, ne), ctx, depth);
   if (odd) {
-    const int fixups = peel_fixups(alpha, a, b, beta, c, me, ke, ne);
+    const int fixups =
+        peel_fixups(alpha, a, b, beta, c, me, ke, ne, ctx.arena->owns(a.p),
+                    ctx.arena->owns(b.p));
     if (ctx.stats != nullptr) ctx.stats->peel_fixups += fixups;
   }
   if (ctx.stats != nullptr) {

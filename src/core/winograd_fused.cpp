@@ -398,7 +398,9 @@ void fmm_fused(T alpha, BasicView<const T> a, BasicView<const T> b, T beta,
   }
 
   if (odd) {
-    const int fixups = peel_fixups(alpha, a, b, beta, c, me, ke, ne);
+    const int fixups =
+        peel_fixups(alpha, a, b, beta, c, me, ke, ne, ctx.arena->owns(a.p),
+                    ctx.arena->owns(b.p));
     if (ctx.stats != nullptr) ctx.stats->peel_fixups += fixups;
   }
   if (ctx.stats != nullptr) {

@@ -223,16 +223,13 @@ class QueueImplT {
 
   // --- internals shared with execute_request -------------------------------
 
-  // Maps a captured exception to its documented C-ABI info code.
+  // Maps an exception from the lease carve or the driver to its documented
+  // C-ABI info code. Neither throws the canceled/expired/rejected errors:
+  // those paths complete with their codes directly (complete_canceled,
+  // complete_expired, complete_rejected).
   static int info_of(const std::exception_ptr& err) {
     try {
       std::rethrow_exception(err);
-    } catch (const CanceledError&) {
-      return STRASSEN_INFO_CANCELED;
-    } catch (const DeadlineError&) {
-      return STRASSEN_INFO_EXPIRED;
-    } catch (const AdmissionError&) {
-      return STRASSEN_INFO_REJECTED;
     } catch (const WorkspaceError&) {
       return STRASSEN_INFO_WORKSPACE;
     } catch (const std::bad_alloc&) {

@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "support/aligned_buffer.hpp"
@@ -171,6 +172,14 @@ class ArenaT {
 
   /// Elements currently allocated.
   std::size_t in_use() const { return top_; }
+
+  /// True when `p` points into this arena's storage: the operand is a
+  /// workspace temporary rather than caller data.
+  bool owns(const T* p) const {
+    const T* lo = ext_ != nullptr ? ext_ : buf_.data();
+    return lo != nullptr && std::less_equal<const T*>()(lo, p) &&
+           std::less<const T*>()(p, lo + cap());
+  }
 
   /// Elements still available on top of the current stack position.
   std::size_t remaining() const { return cap() - top_; }

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm.hpp"
 #include "core/dgefmm.hpp"
+#include "core/sgefmm.hpp"
 #include "support/matrix.hpp"
 #include "support/random.hpp"
 
@@ -370,6 +374,107 @@ TEST(Dgefmm, NeverRecurseEqualsDgemm) {
               b.data(), s.k, 0.5, c2.data(), s.m);
   // Identical code path => bit-identical results.
   EXPECT_EQ(max_abs_diff(c1.view(), c2.view()), 0.0);
+}
+
+// ------------------------------------------------------ orientation parity
+
+template <class T>
+MatrixT<T> random_t(index_t m, index_t n, Rng& rng) {
+  if constexpr (std::is_same_v<T, float>) {
+    return random_matrix_f(m, n, rng);
+  } else {
+    return random_matrix(m, n, rng);
+  }
+}
+
+template <class T>
+MatrixT<T> transposed_copy(const MatrixT<T>& x) {
+  MatrixT<T> t(x.cols(), x.rows());
+  for (index_t j = 0; j < x.cols(); ++j) {
+    for (index_t i = 0; i < x.rows(); ++i) t(j, i) = x(i, j);
+  }
+  return t;
+}
+
+// A transposed operand's Strassen sums are written row-major and run
+// unit-stride, and the products pack either orientation into the same
+// bytes. On even shapes (no peel fix-ups) every schedule must therefore
+// give C bitwise equal to the NN call on materialised transposes, from the
+// same workspace.
+template <class T>
+void expect_orientation_parity(index_t m, index_t n, index_t k) {
+  struct Case {
+    Scheme scheme;
+    T beta;
+  };
+  const Case cases[] = {{Scheme::strassen1, T(0)},
+                        {Scheme::strassen1, T(0.5)},
+                        {Scheme::strassen2, T(0.5)},
+                        {Scheme::original, T(0)},
+                        {Scheme::original, T(0.5)}};
+  Rng rng(91);
+  const MatrixT<T> a = random_t<T>(m, k, rng);
+  const MatrixT<T> b = random_t<T>(k, n, rng);
+  const MatrixT<T> c0 = random_t<T>(m, n, rng);
+  const MatrixT<T> at = transposed_copy(a);
+  const MatrixT<T> bt = transposed_copy(b);
+  const std::size_t bytes =
+      static_cast<std::size_t>(m) * static_cast<std::size_t>(n) * sizeof(T);
+  for (int depth = 1; depth <= 2; ++depth) {
+    for (const Case& cs : cases) {
+      const auto run = [&](Trans ta, Trans tb, MatrixT<T>& c,
+                           DgefmmStats& stats) {
+        copy(c0.view(), c.view());
+        core::GefmmConfigT<T> cfg;
+        cfg.cutoff = CutoffCriterion::fixed_depth(depth);
+        cfg.scheme = cs.scheme;
+        cfg.stats = &stats;
+        const MatrixT<T>& ao = is_trans(ta) ? at : a;
+        const MatrixT<T>& bo = is_trans(tb) ? bt : b;
+        int info;
+        if constexpr (std::is_same_v<T, float>) {
+          info = core::sgefmm(ta, tb, m, n, k, 1.25f, ao.data(), ao.ld(),
+                              bo.data(), bo.ld(), cs.beta, c.data(), c.ld(),
+                              cfg);
+        } else {
+          info = core::dgefmm(ta, tb, m, n, k, 1.25, ao.data(), ao.ld(),
+                              bo.data(), bo.ld(), cs.beta, c.data(), c.ld(),
+                              cfg);
+        }
+        ASSERT_EQ(info, 0);
+      };
+      MatrixT<T> want(m, n);
+      DgefmmStats want_stats;
+      run(Trans::no, Trans::no, want, want_stats);
+      EXPECT_EQ(want_stats.max_depth, depth);
+      EXPECT_EQ(want_stats.peel_fixups, 0);
+      for (const auto& [ta, tb] :
+           {std::pair{Trans::transpose, Trans::no},
+            std::pair{Trans::no, Trans::transpose},
+            std::pair{Trans::transpose, Trans::transpose}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << m << "x" << n << "x" << k << " depth " << depth
+                     << " " << core::scheme_name(cs.scheme) << " beta "
+                     << cs.beta << " op " << (is_trans(ta) ? 'T' : 'N')
+                     << (is_trans(tb) ? 'T' : 'N'));
+        MatrixT<T> got(m, n);
+        DgefmmStats got_stats;
+        run(ta, tb, got, got_stats);
+        EXPECT_EQ(std::memcmp(want.data(), got.data(), bytes), 0);
+        EXPECT_EQ(got_stats.peak_workspace, want_stats.peak_workspace);
+      }
+    }
+  }
+}
+
+TEST(OrientationParity, DgefmmTransposedEqualsMaterialisedBitwise) {
+  expect_orientation_parity<double>(256, 256, 256);
+  expect_orientation_parity<double>(384, 256, 320);
+}
+
+TEST(OrientationParity, SgefmmTransposedEqualsMaterialisedBitwise) {
+  expect_orientation_parity<float>(256, 256, 256);
+  expect_orientation_parity<float>(384, 256, 320);
 }
 
 }  // namespace

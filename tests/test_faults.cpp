@@ -441,7 +441,8 @@ TEST_F(FaultInject, ParallelSweepFusedFallback) {
                  22, /*gemm_threads=*/2);
 }
 
-// Odd dimensions: the peel fix-ups run after the recursion, on the pool.
+// Odd dimensions: the peel fix-ups run after the even core; they split
+// over the pool when large enough, and acquire nothing either way.
 TEST_F(FaultInject, ParallelSweepOddStrict) {
   sweep_parallel(257, 255, 253, Scheme::automatic, 0.5,
                  FailurePolicy::strict, 23, /*gemm_threads=*/3);

@@ -27,14 +27,16 @@ using core::DgefmmConfig;
 using core::Scheme;
 
 count_t measured_ops(index_t m, index_t n, index_t k, double alpha,
-                     double beta, const DgefmmConfig& cfg) {
+                     double beta, const DgefmmConfig& cfg,
+                     Trans ta = Trans::no, Trans tb = Trans::no) {
   Rng rng(55);
-  Matrix a = random_matrix(m, k, rng);
-  Matrix b = random_matrix(k, n, rng);
+  const index_t ar = is_trans(ta) ? k : m, br = is_trans(tb) ? n : k;
+  Matrix a = random_matrix(ar, is_trans(ta) ? m : k, rng);
+  Matrix b = random_matrix(br, is_trans(tb) ? k : n, rng);
   Matrix c = random_matrix(m, n, rng);
   opcount::ScopedCounting guard;
-  EXPECT_EQ(core::dgefmm(Trans::no, Trans::no, m, n, k, alpha, a.data(), m,
-                         b.data(), k, beta, c.data(), m, cfg),
+  EXPECT_EQ(core::dgefmm(ta, tb, m, n, k, alpha, a.data(), ar, b.data(), br,
+                         beta, c.data(), m, cfg),
             0);
   return opcount::counters().total();
 }
@@ -221,6 +223,31 @@ INSTANTIATE_TEST_SUITE_P(
                           std::tuple<double, double>{1.0, 1.0},
                           std::tuple<double, double>{2.0, 0.5},
                           std::tuple<double, double>{-1.0, 1.0})));
+
+// Transposed operands change the storage order of the operand sums and
+// the loop order of the peel fix-ups, never the counts: each fix-up is
+// recorded once by its caller however it is split over the pool. 515 x 387
+// x 451 is odd in every dimension and large enough for the fix-ups to fan
+// out at any gemm-thread setting above 1.
+TEST(OpCountMirrorTransposed, OddTransposedShapesEqualMirror) {
+  core::detail::ScopedPoolWorkers serial_depth(1);
+  const index_t m = 515, n = 387, k = 451;
+  for (const Scheme scheme : {Scheme::automatic, Scheme::strassen1,
+                              Scheme::strassen2, Scheme::original}) {
+    for (const Trans ta : {Trans::no, Trans::transpose}) {
+      for (const Trans tb : {Trans::no, Trans::transpose}) {
+        DgefmmConfig cfg;
+        cfg.cutoff = CutoffCriterion::square_simple(96);
+        cfg.scheme = scheme;
+        const Mirror mirror{cfg};
+        EXPECT_EQ(measured_ops(m, n, k, 2.0, 0.5, cfg, ta, tb),
+                  mirror.fmm(m, k, n, 2.0, 0.5, 0))
+            << core::scheme_name(scheme) << " op "
+            << (is_trans(ta) ? 'T' : 'N') << (is_trans(tb) ? 'T' : 'N');
+      }
+    }
+  }
+}
 
 TEST(OpCount, CountingDisabledByDefaultIsCheap) {
   opcount::reset();

@@ -562,7 +562,9 @@ TEST(ParallelStrassen, SchedulerStatsStayZero) {
 }
 
 // The predicted workspace is exactly the arena's high-water mark at every
-// gemm-thread setting: the fan-out borrows no workspace of its own.
+// gemm-thread setting and operand orientation: the fan-out borrows no
+// workspace of its own, and a transposed operand's row-major sums fill the
+// same temporaries.
 TEST(ParallelStrassen, WorkspacePredictionIsExact) {
   const index_t n = 144;
   Rng rng(55);
@@ -573,33 +575,40 @@ TEST(ParallelStrassen, WorkspacePredictionIsExact) {
        {core::Scheme::automatic, core::Scheme::fused}) {
     for (int depth = 1; depth <= 2; ++depth) {
       for (const int threads : kGemmThreadSettings) {
-        SCOPED_TRACE(::testing::Message()
-                     << "scheme " << static_cast<int>(scheme) << " depth "
-                     << depth << " gemm threads "
-                     << gemm_threads_label(threads));
-        std::optional<blas::ScopedGemmThreads> width;
-        if (threads > 0) width.emplace(threads);
-        fill(c.view(), 0.0);
-        Arena arena;
-        core::DgefmmStats stats;
-        core::DgefmmConfig cfg;
-        cfg.cutoff = core::CutoffCriterion::fixed_depth(depth);
-        cfg.scheme = scheme;
-        cfg.workspace = &arena;
-        cfg.stats = &stats;
-        const count_t predicted =
-            core::workspace_doubles(n, n, n, 0.0, cfg);
-        ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.0, a.data(),
-                               a.ld(), b.data(), b.ld(), 0.0, c.data(),
-                               c.ld(), cfg),
-                  0);
-        EXPECT_EQ(stats.max_depth, depth);
-        // Two fused levels at beta = 0 write C directly: no workspace.
-        if (scheme == core::Scheme::automatic) {
-          EXPECT_GT(predicted, 0);
+        for (const int op : {0, 1, 2, 3}) {
+          const Trans ta = (op & 1) != 0 ? Trans::transpose : Trans::no;
+          const Trans tb = (op & 2) != 0 ? Trans::transpose : Trans::no;
+          SCOPED_TRACE(::testing::Message()
+                       << "scheme " << static_cast<int>(scheme) << " depth "
+                       << depth << " gemm threads "
+                       << gemm_threads_label(threads) << " op "
+                       << (is_trans(ta) ? 'T' : 'N')
+                       << (is_trans(tb) ? 'T' : 'N'));
+          std::optional<blas::ScopedGemmThreads> width;
+          if (threads > 0) width.emplace(threads);
+          fill(c.view(), 0.0);
+          Arena arena;
+          core::DgefmmStats stats;
+          core::DgefmmConfig cfg;
+          cfg.cutoff = core::CutoffCriterion::fixed_depth(depth);
+          cfg.scheme = scheme;
+          cfg.workspace = &arena;
+          cfg.stats = &stats;
+          const count_t predicted =
+              core::workspace_doubles(n, n, n, 0.0, cfg);
+          ASSERT_EQ(core::dgefmm(ta, tb, n, n, n, 1.0, a.data(), a.ld(),
+                                 b.data(), b.ld(), 0.0, c.data(), c.ld(),
+                                 cfg),
+                    0);
+          EXPECT_EQ(stats.max_depth, depth);
+          // Two fused levels at beta = 0 write C directly: no workspace.
+          if (scheme == core::Scheme::automatic) {
+            EXPECT_GT(predicted, 0);
+          }
+          EXPECT_EQ(arena.peak(), static_cast<std::size_t>(predicted));
+          EXPECT_EQ(stats.peak_workspace,
+                    static_cast<std::size_t>(predicted));
         }
-        EXPECT_EQ(arena.peak(), static_cast<std::size_t>(predicted));
-        EXPECT_EQ(stats.peak_workspace, static_cast<std::size_t>(predicted));
       }
     }
   }
@@ -608,16 +617,24 @@ TEST(ParallelStrassen, WorkspacePredictionIsExact) {
 // --- bitwise determinism across gemm-thread settings -------------------------
 
 // C must be bitwise identical for every gemm-thread setting: the packed
-// loop's partitions write disjoint tiles with a sequential k loop, and the
-// quadrant adds are elementwise. Exercised over both schemes, recursion
-// depths 1 and 2, and even/odd shapes.
+// loop's partitions write disjoint tiles with a sequential k loop, the
+// quadrant adds are elementwise, and each peel fix-up splits over
+// independent output entries with the serial arithmetic. Exercised over
+// both schemes, recursion depths 1 and 2, NN/TN/NT operands (transposed
+// operands take the row-major sums and the other fix-up loop orders) and
+// an even, a small odd and a large odd shape; at 515 the fix-ups are large
+// enough to fan out over the pool.
 class DeterminismMatrix
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
 TEST_P(DeterminismMatrix, BitwiseIdenticalAcrossGemmThreads) {
   const int scheme_idx = std::get<0>(GetParam());
   const int depth = std::get<1>(GetParam());
-  const index_t n = std::get<2>(GetParam()) == 0 ? 128 : 117;
+  const index_t sizes[] = {128, 117, 515};
+  const index_t n = sizes[std::get<2>(GetParam())];
+  const int op = std::get<3>(GetParam());
+  const Trans ta = op == 1 ? Trans::transpose : Trans::no;
+  const Trans tb = op == 2 ? Trans::transpose : Trans::no;
   Rng rng(400 + static_cast<std::uint64_t>(scheme_idx * 10 + depth));
   Matrix a = random_matrix(n, n, rng);
   Matrix b = random_matrix(n, n, rng);
@@ -633,9 +650,8 @@ TEST_P(DeterminismMatrix, BitwiseIdenticalAcrossGemmThreads) {
     cfg.scheme = scheme_idx == 0 ? core::Scheme::automatic
                                  : core::Scheme::fused;
     cfg.stats = &stats;
-    ASSERT_EQ(core::dgefmm(Trans::no, Trans::no, n, n, n, 1.25, a.data(),
-                           a.ld(), b.data(), b.ld(), -0.5, c.data(), c.ld(),
-                           cfg),
+    ASSERT_EQ(core::dgefmm(ta, tb, n, n, n, 1.25, a.data(), a.ld(), b.data(),
+                           b.ld(), -0.5, c.data(), c.ld(), cfg),
               0);
     EXPECT_EQ(stats.max_depth, depth);
   };
@@ -654,9 +670,10 @@ TEST_P(DeterminismMatrix, BitwiseIdenticalAcrossGemmThreads) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, DeterminismMatrix,
-    ::testing::Combine(::testing::Values(0, 1),    // automatic, fused
-                       ::testing::Values(1, 2),    // recursion depth
-                       ::testing::Values(0, 1)));  // even, odd shape
+    ::testing::Combine(::testing::Values(0, 1),      // automatic, fused
+                       ::testing::Values(1, 2),      // recursion depth
+                       ::testing::Values(0, 1, 2),   // 128, 117, 515
+                       ::testing::Values(0, 1, 2)));  // NN, TN, NT
 
 // --- memory-system tuning: huge pages, prefetch ------------------------------
 
